@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from . import lineconfig
 from .constraints import (
     AlgebraInvariants,
     castelnuovo,
@@ -121,19 +120,16 @@ def reducible_case(n: int) -> SubschemeProfile:
 
     A cycle of n lines through n spanning points: reduced, connected,
     arithmetic genus 1, and the whole subscheme is the curve.  The values
-    are cross-checked against the configuration-graph report of the n-gon.
+    agree with the configuration-graph report and the twist cohomology of
+    the n-gon, as tests/test_classify.py::TestReducibleCase::
+    test_cross_module_agreement checks.
     """
     if isinstance(n, bool) or not isinstance(n, int) or not is_prime(n) or n == 2:
         raise PreconditionError(f"the reducible case needs an odd prime index, got {n!r}")
-    rep = lineconfig.report(lineconfig.ngon(n))
-    if (rep.degree, rep.h0, rep.h1) != (n, 1, 1):
-        raise RuntimeError(
-            f"n-gon report {rep!r} disagrees with the classified values ({n}, 1, 1)"
-        )
     return SubschemeProfile(
-        curve_degree=rep.degree,
-        h0=rep.h0,
-        h1=rep.h1,
+        curve_degree=n,
+        h0=1,
+        h1=1,
         geom_connected=True,
         geom_reduced=True,
         geom_irreducible=False,

@@ -8,17 +8,18 @@ a two-term complex
     (forms of degree m, one per line)  -->  (one value per extra branch at each vertex)
 
 whose kernel is H^0 and whose cokernel is H^1; no higher terms enter for
-m >= 0 because a line carries no higher cohomology in those twists.
+m >= 0 because a line carries no higher cohomology in those twists.  With E
+lines and V vertices the two terms have dimensions E(m+1) and 2E - V.
 
-Lines are parametrized by their two endpoint representatives, so a form
-evaluates at an endpoint to its leading or trailing coefficient, and the
-stored coordinate vector of a vertex fixes the fiber trivialization that
-makes values on different branches comparable.  Rescaling any vertex vector
-rescales all branch values at that vertex alike, so the computed dimensions
-do not depend on the chosen representatives.
+Both dimensions follow from the graph alone (Bayer-Eisenbud, "Graph
+curves", J. Algebra 1991).  For m >= 1 a form of degree m takes independent
+values at the two endpoints of its line, so every choice of branch values is
+attained and the agreement map is onto: h1 = 0 and h0 = E(m-1) + V.  For
+m = 0 a form is a constant, and the kernel is the functions constant on each
+connected component: h0 = components and h1 = E - V + h0.
 
-All ranks are computed by fraction-exact Gaussian elimination; no floats
-anywhere.
+The vertex coordinates enter only ``spans``, whether the vertices span the
+ambient space, which is an exact rational rank; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError, PreconditionError
-from .lineconfig import LineConfig
+from .lineconfig import LineConfig, _component_count
 
 
 def _rank(rows, ncols):
@@ -173,37 +174,18 @@ def _spans(cfg: EmbeddedConfig) -> bool:
 def twist_cohomology(cfg: EmbeddedConfig, m: int) -> CohomReport:
     """h^0 and h^1 of O(m) on the configuration, for m >= 0.
 
-    Builds the agreement matrix taking the per-line forms to the pairwise
-    differences of their values at each vertex, evaluated in the fiber
-    trivializations fixed by the vertex representatives, and returns the
-    exact kernel and cokernel dimensions.  Negative m is rejected: the
+    Reads the kernel and cokernel dimensions of the agreement map off the
+    graph, as the module docstring derives.  Negative m is rejected: the
     two-term complex is only valid while the lines carry no h^1.
     """
     if isinstance(m, bool) or not isinstance(m, int) or m < 0:
         raise PreconditionError(f"twist must be a nonnegative integer, got {m!r}")
-    base = cfg.base
-    width = m + 1
-    ncols = len(base.edges) * width
-    position = {edge: i for i, edge in enumerate(base.edges)}
-
-    def value_column(edge, v):
-        # evaluation at parameter (1,0) or (0,1) picks the x^m or y^m coefficient
-        offset = 0 if edge[0] == v else m
-        return position[edge] * width + offset
-
-    rows = []
-    for v in base.vertices:
-        incident = [edge for edge in base.edges if v in edge]
-        reference = incident[0]
-        for other in incident[1:]:
-            row = [0] * ncols
-            row[value_column(reference, v)] = 1
-            row[value_column(other, v)] = -1
-            rows.append(row)
-
-    rank = _rank(rows, ncols)
-    h0 = ncols - rank
-    h1 = len(rows) - rank
+    lines, points = len(cfg.base.edges), len(cfg.base.vertices)
+    if m == 0:
+        h0 = _component_count(cfg.base)
+        h1 = lines - points + h0
+    else:
+        h0, h1 = lines * (m - 1) + points, 0
     return CohomReport(m=m, h0=h0, h1=h1, chi=h0 - h1, spans=_spans(cfg))
 
 

@@ -237,9 +237,10 @@ def is_pgon(config: LineConfig, p: int) -> bool:
     """
     if isinstance(p, bool) or not isinstance(p, int):
         return False
-    if p < 3 or not is_prime(p):
-        return False
+    # the size test comes first: trial division on a huge p would not finish
     if len(config.vertices) != p or len(config.edges) != p:
+        return False
+    if p < 3 or not is_prime(p):
         return False
     if any(count != 2 for count in config.branch_counts().values()):
         return False

@@ -164,6 +164,14 @@ class TestFamily:
         assert doc["cohomology"][0] == {"m": 0, "h0": 1, "h1": 1, "chi": 0, "spans": True}
         assert doc["cohomology"][1]["h1"] == 0
 
+    def test_huge_twist_is_answered(self):
+        # no matrix of size proportional to m is ever built
+        status, text = invoke(["family", "ngon", "5", "--cohomology", "1000000000000",
+                               "--format", "json"])
+        assert status == EXIT_OK
+        rep = json.loads(text)["cohomology"][0]
+        assert (rep["h0"], rep["h1"]) == (5 * 10**12, 0)
+
 
 class TestConfigCommands:
     @pytest.fixture

@@ -249,6 +249,7 @@ class TestPgonRecognition:
 
     def test_wrong_size_fails(self):
         assert not is_pgon(ngon(5), 7)
+        assert not is_pgon(ngon(5), 1000000000000000003)
 
     def test_disconnected_fails(self):
         two_triangles = LineConfig(
