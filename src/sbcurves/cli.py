@@ -7,11 +7,12 @@ twist cohomology and smoothing-hypothesis checks), ``cohomology`` (twist
 cohomology of an embedded configuration file) and ``check-config``
 (validation only).
 
-Output is a deterministic fixed-order table, or JSON with a stable field
-order and a ``schema_version`` field when ``--format json`` is given (the
-``SBCURVES_FORMAT`` environment variable sets the default).  Exit status:
-0 ok, 2 usage, 3 file parse error, 4 invariant violation, 5 unsatisfiable
-preconditions.
+Each subcommand builds one JSON document, with a stable field order and a
+``schema_version`` field.  ``--format json`` prints it; the default
+``--format table`` prints a deterministic table rendered from that document
+alone, so the two formats cannot drift apart (the ``SBCURVES_FORMAT``
+environment variable sets the default).  Exit status: 0 ok, 2 usage, 3 file
+parse error, 4 invariant violation, 5 unsatisfiable preconditions.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 from .classify import enumerate_profiles
 from .cohomology import smoothing_hypotheses, standard_embedding, twist_cohomology
@@ -41,32 +42,23 @@ EXIT_PRECONDITION = 5
 
 
 class UsageError(ValueError):
-    """Missing or inconsistent query fields."""
+    """Arguments argparse accepts but the query cannot use."""
 
 
-@dataclass(frozen=True)
-class Query:
-    """One CLI invocation, validated before dispatch."""
-
-    command: str
-    algebra: tuple | None = None  # (degree, index, exponent, division flag)
-    poly: tuple | None = None  # (r, s)
-    family_name: str | None = None
-    family_size: int | None = None
-    twists: tuple = ()
-    config_path: str | None = None
-    embed_dim: int | None = None
-    smoothing: bool = False
-    pgon: int | None = None
-    output_format: str = "table"
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if value is None:
+        return "-"
+    if isinstance(value, list):
+        return "+".join(map(str, value)) or "-"
+    return str(value)
 
 
-def _yes(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-def _render_table(headers, rows) -> str:
-    cells = [[str(c) for c in row] for row in rows]
+def _grid(rows, headers=None) -> str:
+    """Left-aligned columns under a dashed rule; the headers default to the row keys."""
+    headers = list(headers or rows[0])
+    cells = [[_cell(v) for v in row.values()] for row in rows]
     widths = [
         max([len(headers[i])] + [len(row[i]) for row in cells])
         for i in range(len(headers))
@@ -80,8 +72,36 @@ def _render_table(headers, rows) -> str:
     return "\n".join(lines)
 
 
-def _points_cell(points) -> str:
-    return "+".join(str(p) for p in points) if points else "-"
+_FEASIBLE_HEADERS = (
+    "narrative", "degree", "h0", "h1", "chi",
+    "connected", "reduced", "irreducible", "points", "provenance",
+)
+
+
+def render_table(doc: dict) -> str:
+    """The table form of a subcommand's JSON document, read from the document alone."""
+    command = doc["command"]
+    if command == "feasible":
+        poly, index = NumPoly(**doc["poly"]), doc["algebra"]["index"]
+        summary = f"{doc['profile_count']} admissible profile(s) for {poly} at index {index}"
+        if not doc["profiles"]:
+            return summary + " (constraints are jointly unsatisfiable)"
+        return summary + "\n\n" + _grid(doc["profiles"], _FEASIBLE_HEADERS)
+    blocks = []
+    if command == "family":
+        label = doc["family"] if doc["size"] is None else f"{doc['family']}({doc['size']})"
+        blocks.append(_grid([{"family": label, **doc["report"]}]))
+    elif command == "classify":
+        pgon = f"pgon(p={doc['pgon_parameter']})"
+        blocks.append(_grid([{**doc["report"], pgon: doc["is_pgon"]}]))
+    elif command == "check-config":
+        fields = {k: v for k, v in doc.items() if k not in ("schema_version", "command", "path")}
+        blocks += ["ok", _grid([fields])]
+    if "cohomology" in doc:
+        blocks.append(_grid(doc["cohomology"]))
+    if "smoothing" in doc:
+        blocks.append(_grid([doc["smoothing"]]))
+    return "\n\n".join(blocks)
 
 
 def _profile_doc(profile) -> dict:
@@ -99,47 +119,12 @@ def _profile_doc(profile) -> dict:
     }
 
 
-def _report_doc(rep) -> dict:
-    return {
-        "degree": rep.degree,
-        "h0": rep.h0,
-        "h1": rep.h1,
-        "edge_transitive": rep.edge_transitive,
-        "vertex_single_orbit": rep.vertex_single_orbit,
-    }
-
-
-def _cohom_doc(rep) -> dict:
-    return {"m": rep.m, "h0": rep.h0, "h1": rep.h1, "chi": rep.chi, "spans": rep.spans}
-
-
-def _report_table(label_header, label, rep) -> str:
-    return _render_table(
-        [label_header, "degree", "h0", "h1", "edge_transitive", "vertex_single_orbit"],
-        [[label, rep.degree, rep.h0, rep.h1, _yes(rep.edge_transitive), _yes(rep.vertex_single_orbit)]],
-    )
-
-
-def _cohom_table(reports) -> str:
-    return _render_table(
-        ["m", "h0", "h1", "chi", "spans"],
-        [[r.m, r.h0, r.h1, r.chi, _yes(r.spans)] for r in reports],
-    )
-
-
-def _need(value, message):
-    if value is None:
-        raise UsageError(message)
-    return value
-
-
-def _cmd_feasible(query: Query):
-    d, n, m, division = _need(query.algebra, "feasible needs --degree/--index/--exponent")
-    r, s = _need(query.poly, "feasible needs --poly R,S")
+def _cmd_feasible(args) -> dict:
+    d, n, m, division = args.degree, args.index, args.exponent, args.division
+    r, s = args.poly
     alg = AlgebraInvariants(d=d, n=n, m=m, is_division=division)
-    poly = NumPoly(r, s)
-    profiles = enumerate_profiles(alg, poly)
-    doc = {
+    profiles = enumerate_profiles(alg, NumPoly(r, s))
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": "feasible",
         "algebra": {"degree": d, "index": n, "exponent": m, "division": division},
@@ -147,39 +132,6 @@ def _cmd_feasible(query: Query):
         "profile_count": len(profiles),
         "profiles": [_profile_doc(p) for p in profiles],
     }
-    summary = f"{len(profiles)} admissible profile(s) for {poly} at index {n}"
-    if not profiles:
-        return doc, summary + " (constraints are jointly unsatisfiable)"
-    table = _render_table(
-        [
-            "narrative",
-            "degree",
-            "h0",
-            "h1",
-            "chi",
-            "connected",
-            "reduced",
-            "irreducible",
-            "points",
-            "provenance",
-        ],
-        [
-            [
-                p.narrative.value,
-                p.curve_degree,
-                p.h0,
-                p.h1,
-                p.chi(),
-                _yes(p.geom_connected),
-                _yes(p.geom_reduced),
-                _yes(p.geom_irreducible),
-                _points_cell(p.extra_point_degrees),
-                p.provenance,
-            ]
-            for p in profiles
-        ],
-    )
-    return doc, summary + "\n\n" + table
 
 
 _FAMILIES = {
@@ -190,116 +142,72 @@ _FAMILIES = {
 }
 
 
-def _build_family(name, size):
-    builder, sized = _FAMILIES[name]
-    if sized:
-        if size is None:
-            raise UsageError(f"family {name!r} needs a size argument")
-        return builder(size), f"{name}({size})"
-    if size is not None:
-        raise UsageError(f"family {name!r} takes no size argument")
-    return builder(), name
-
-
-def _cmd_family(query: Query):
-    name = _need(query.family_name, "family needs a family name")
-    if name not in _FAMILIES:
-        raise UsageError(f"unknown family {name!r}")
-    config, label = _build_family(name, query.family_size)
-    rep = report(config)
+def _cmd_family(args) -> dict:
+    builder, sized = _FAMILIES[args.name]
+    if sized and args.size is None:
+        raise UsageError(f"family {args.name!r} needs a size argument")
+    if not sized and args.size is not None:
+        raise UsageError(f"family {args.name!r} takes no size argument")
+    config = builder(args.size) if sized else builder()
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "family",
-        "family": name,
-        "size": query.family_size,
-        "report": _report_doc(rep),
+        "family": args.name,
+        "size": args.size,
+        "report": asdict(report(config)),
     }
-    sections = [_report_table("family", label, rep)]
-    if query.twists or query.smoothing:
-        dim = query.embed_dim if query.embed_dim is not None else len(config.vertices)
+    if args.cohomology or args.smoothing:
+        dim = args.embed_dim if args.embed_dim is not None else len(config.vertices)
         embedded = standard_embedding(config, dim)
         doc["embedding"] = {"method": "standard", "ambient_dim": dim}
-        if query.twists:
-            reports = [twist_cohomology(embedded, m) for m in query.twists]
-            doc["cohomology"] = [_cohom_doc(r) for r in reports]
-            sections.append(_cohom_table(reports))
-        if query.smoothing:
-            sm = smoothing_hypotheses(embedded)
-            doc["smoothing"] = {
-                "h1_O_equals_1": sm.h1_O_equals_1,
-                "h1_O1_vanishes": sm.h1_O1_vanishes,
-                "nodal": sm.nodal,
-            }
-            sections.append(
-                _render_table(
-                    ["h1_O_equals_1", "h1_O1_vanishes", "nodal"],
-                    [[_yes(sm.h1_O_equals_1), _yes(sm.h1_O1_vanishes), _yes(sm.nodal)]],
-                )
-            )
-    return doc, "\n\n".join(sections)
+        if args.cohomology:
+            doc["cohomology"] = [asdict(twist_cohomology(embedded, m)) for m in args.cohomology]
+        if args.smoothing:
+            doc["smoothing"] = asdict(smoothing_hypotheses(embedded))
+    return doc
 
 
-def _cmd_classify(query: Query):
-    path = _need(query.config_path, "classify needs a configuration file path")
-    parsed = load_config(path)
-    rep = report(parsed.config)
-    p = query.pgon if query.pgon is not None else rep.degree
-    pgon = is_pgon(parsed.config, p)
-    doc = {
+def _cmd_classify(args) -> dict:
+    config = load_config(args.config).config
+    rep = report(config)
+    p = args.pgon if args.pgon is not None else rep.degree
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": "classify",
-        "path": str(path),
-        "report": _report_doc(rep),
+        "path": args.config,
+        "report": asdict(rep),
         "pgon_parameter": p,
-        "is_pgon": pgon,
+        "is_pgon": is_pgon(config, p),
     }
-    table = _render_table(
-        ["degree", "h0", "h1", "edge_transitive", "vertex_single_orbit", f"pgon(p={p})"],
-        [[rep.degree, rep.h0, rep.h1, _yes(rep.edge_transitive), _yes(rep.vertex_single_orbit), _yes(pgon)]],
-    )
-    return doc, table
 
 
-def _cmd_cohomology(query: Query):
-    path = _need(query.config_path, "cohomology needs a configuration file path")
-    if not query.twists:
-        raise UsageError("cohomology needs --twist M[,M...]")
-    parsed = load_config(path)
-    if parsed.embedded is None:
+def _cmd_cohomology(args) -> dict:
+    embedded = load_config(args.config).embedded
+    if embedded is None:
         raise PreconditionError(
             "twist cohomology needs an embedded configuration: add vertex coordinates"
         )
-    reports = [twist_cohomology(parsed.embedded, m) for m in query.twists]
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": "cohomology",
-        "path": str(path),
-        "ambient_dim": parsed.embedded.ambient_dim,
-        "cohomology": [_cohom_doc(r) for r in reports],
+        "path": args.config,
+        "ambient_dim": embedded.ambient_dim,
+        "cohomology": [asdict(twist_cohomology(embedded, m)) for m in args.twist],
     }
-    return doc, _cohom_table(reports)
 
 
-def _cmd_check_config(query: Query):
-    path = _need(query.config_path, "check-config needs a configuration file path")
-    parsed = load_config(path)
-    config = parsed.config
-    ambient = parsed.embedded.ambient_dim if parsed.embedded else None
-    doc = {
+def _cmd_check_config(args) -> dict:
+    parsed = load_config(args.config)
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": "check-config",
-        "path": str(path),
-        "vertices": len(config.vertices),
-        "edges": len(config.edges),
-        "generators": len(config.action),
+        "path": args.config,
+        "vertices": len(parsed.config.vertices),
+        "edges": len(parsed.config.edges),
+        "generators": len(parsed.config.action),
         "embedded": parsed.is_embedded,
-        "ambient_dim": ambient,
+        "ambient_dim": parsed.embedded.ambient_dim if parsed.embedded else None,
     }
-    table = _render_table(
-        ["vertices", "edges", "generators", "embedded", "ambient_dim"],
-        [[len(config.vertices), len(config.edges), len(config.action), _yes(parsed.is_embedded), ambient if ambient is not None else "-"]],
-    )
-    return doc, "ok\n\n" + table
 
 
 _HANDLERS = {
@@ -311,15 +219,13 @@ _HANDLERS = {
 }
 
 
-def run(query: Query):
-    """Execute one query; returns (exit status, rendered output)."""
-    handler = _HANDLERS.get(query.command)
-    if handler is None:
-        return EXIT_USAGE, f"error: unknown command {query.command!r}"
-    if query.output_format not in ("table", "json"):
-        return EXIT_USAGE, f"error: unknown output format {query.output_format!r}"
+def run(args: argparse.Namespace):
+    """Execute one parsed command line; returns (exit status, rendered output)."""
+    fmt = args.format or os.environ.get(FORMAT_ENV) or "table"
+    if fmt not in ("table", "json"):
+        return EXIT_USAGE, f"error: unknown output format {fmt!r}"
     try:
-        doc, table = handler(query)
+        doc = _HANDLERS[args.command](args)
     except UsageError as exc:
         return EXIT_USAGE, f"error: {exc}"
     except ConfigParseError as exc:
@@ -328,9 +234,9 @@ def run(query: Query):
         return EXIT_INVARIANT, f"error: {exc}"
     except PreconditionError as exc:
         return EXIT_PRECONDITION, f"error: {exc}"
-    if query.output_format == "json":
+    if fmt == "json":
         return EXIT_OK, json.dumps(doc, indent=2)
-    return EXIT_OK, table
+    return EXIT_OK, render_table(doc)
 
 
 def _int_pair(text):
@@ -423,37 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _query_from_args(args) -> Query:
-    fmt = args.format
-    if fmt is None:
-        fmt = os.environ.get(FORMAT_ENV) or "table"
-    command = args.command
-    if command == "feasible":
-        return Query(
-            command=command,
-            algebra=(args.degree, args.index, args.exponent, args.division),
-            poly=args.poly,
-            output_format=fmt,
-        )
-    if command == "classify":
-        return Query(command=command, config_path=args.config, pgon=args.pgon, output_format=fmt)
-    if command == "family":
-        return Query(
-            command=command,
-            family_name=args.name,
-            family_size=args.size,
-            twists=tuple(args.cohomology),
-            embed_dim=args.embed_dim,
-            smoothing=args.smoothing,
-            output_format=fmt,
-        )
-    if command == "cohomology":
-        return Query(
-            command=command, config_path=args.config, twists=tuple(args.twist), output_format=fmt
-        )
-    return Query(command=command, config_path=args.config, output_format=fmt)
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -462,7 +337,7 @@ def main(argv=None) -> int:
         if code is None:
             return EXIT_OK
         return code if isinstance(code, int) else EXIT_USAGE
-    status, text = run(_query_from_args(args))
+    status, text = run(args)
     stream = sys.stdout if status == EXIT_OK else sys.stderr
     if text:
         print(text, file=stream)

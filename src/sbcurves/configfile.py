@@ -97,7 +97,7 @@ def _parse_cycles(line, vertices, lineno):
     return mapping
 
 
-def _parse_image_list(line, vertices, lineno):
+def _parse_image_list(line, vertices, known, lineno):
     images = line.split()
     if len(images) != len(vertices):
         _fail(
@@ -105,7 +105,7 @@ def _parse_image_list(line, vertices, lineno):
             f"image list has {len(images)} entries for {len(vertices)} vertices",
         )
     for name in images:
-        if name not in vertices:
+        if name not in known:
             _fail(lineno, f"image list names undeclared vertex {name!r}")
     return dict(zip(vertices, images))
 
@@ -117,6 +117,7 @@ def parse_config_text(text: str) -> ParsedConfig:
     propagate from the constructed objects as InvariantError.
     """
     vertices = []
+    known = set()
     coords = {}
     edges = []
     generator_lines = []
@@ -136,9 +137,10 @@ def parse_config_text(text: str) -> ParsedConfig:
             _fail(lineno, f"content before any section header: {line!r}")
         if section == "vertices":
             name, vec = _parse_vertex_line(line, lineno)
-            if name in coords or name in vertices:
+            if name in known:
                 _fail(lineno, f"vertex {name!r} declared twice")
             vertices.append(name)
+            known.add(name)
             if vec is not None:
                 coords[name] = vec
         elif section == "edges":
@@ -155,13 +157,12 @@ def parse_config_text(text: str) -> ParsedConfig:
             f"coordinates must be given for all vertices or none; missing {missing!r}"
         )
 
-    known = set(vertices)
     generators = []
     for lineno, line in generator_lines:
         if line.startswith("("):
             generators.append(_parse_cycles(line, known, lineno))
         else:
-            generators.append(_parse_image_list(line, vertices, lineno))
+            generators.append(_parse_image_list(line, vertices, known, lineno))
 
     config = LineConfig(vertices, edges, generators)
     embedded = None
@@ -183,4 +184,6 @@ def load_config(path) -> ParsedConfig:
             text = handle.read()
     except OSError as exc:
         raise ConfigParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"cannot read {path}: byte {exc.start} is not UTF-8") from exc
     return parse_config_text(text)

@@ -1,8 +1,13 @@
 """Tests for the command-line surface: dispatch, rendering, exit statuses."""
 
+import contextlib
+import io
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sbcurves.cli import (
     EXIT_INVARIANT,
@@ -10,12 +15,12 @@ from sbcurves.cli import (
     EXIT_PARSE,
     EXIT_PRECONDITION,
     EXIT_USAGE,
-    Query,
     build_parser,
     main,
     run,
-    _query_from_args,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PENTAGON = """\
 [vertices]
@@ -35,12 +40,22 @@ v5 v1
 """
 
 
-def query_for(argv):
-    return _query_from_args(build_parser().parse_args(argv))
+TRIANGLE = """\
+[vertices]
+a
+b
+c
+[edges]
+a b
+b c
+c a
+[generators]
+b c a
+"""
 
 
 def invoke(argv):
-    return run(query_for(argv))
+    return run(build_parser().parse_args(argv))
 
 
 FEASIBLE_DEG5 = [
@@ -262,14 +277,6 @@ class TestDeterminismAndPlumbing:
         assert status == EXIT_USAGE
         assert "format" in text
 
-    def test_unknown_command_in_query(self):
-        status, text = run(Query(command="bogus"))
-        assert status == EXIT_USAGE
-
-    def test_incomplete_query_is_usage_error(self):
-        status, text = run(Query(command="feasible"))
-        assert status == EXIT_USAGE
-
     def test_argparse_usage_exit_codes(self, capsys):
         assert main(["unknown-command"]) == EXIT_USAGE
         assert main(["feasible", "--poly", "5,0"]) == EXIT_USAGE  # missing algebra flags
@@ -293,3 +300,468 @@ class TestDeterminismAndPlumbing:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == EXIT_OK
+
+
+class TestUndecodableFile:
+    @pytest.mark.parametrize(
+        "command", [["check-config"], ["classify"], ["cohomology", "--twist", "0"]]
+    )
+    def test_non_utf8_file_is_parse_error(self, tmp_path, command):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"[vertices]\n\xff\n")
+        status, text = invoke([command[0], str(path), *command[1:]])
+        assert status == EXIT_PARSE
+        assert "UTF-8" in text
+
+
+# Byte-exact stdout of each subcommand in both formats.  Config paths are
+# relative to the test's working directory, so each document's "path" is fixed.
+
+FEASIBLE_5T_TABLE = """\
+4 admissible profile(s) for 5t at index 5
+
+narrative         degree  h0  h1  chi  connected  reduced  irreducible  points  provenance
+----------------  ------  --  --  ---  ---------  -------  -----------  ------  --------------
+SmoothGenusOne    5       1   1   0    yes        yes      yes          -       classification
+SingularIntegral  5       1   6   0    yes        yes      yes          5       classification
+PGonOfLines       5       1   1   0    yes        yes      no           -       classification
+NonReducedCurve   5       6   6   0    yes        no       yes          -       classification
+"""
+
+FEASIBLE_5T_JSON = """\
+{
+  "schema_version": 1,
+  "command": "feasible",
+  "algebra": {
+    "degree": 5,
+    "index": 5,
+    "exponent": 5,
+    "division": true
+  },
+  "poly": {
+    "r": 5,
+    "s": 0
+  },
+  "profile_count": 4,
+  "profiles": [
+    {
+      "narrative": "SmoothGenusOne",
+      "curve_degree": 5,
+      "h0": 1,
+      "h1": 1,
+      "chi": 0,
+      "geom_connected": true,
+      "geom_reduced": true,
+      "geom_irreducible": true,
+      "extra_point_degrees": [],
+      "provenance": "classification"
+    },
+    {
+      "narrative": "SingularIntegral",
+      "curve_degree": 5,
+      "h0": 1,
+      "h1": 6,
+      "chi": 0,
+      "geom_connected": true,
+      "geom_reduced": true,
+      "geom_irreducible": true,
+      "extra_point_degrees": [
+        5
+      ],
+      "provenance": "classification"
+    },
+    {
+      "narrative": "PGonOfLines",
+      "curve_degree": 5,
+      "h0": 1,
+      "h1": 1,
+      "chi": 0,
+      "geom_connected": true,
+      "geom_reduced": true,
+      "geom_irreducible": false,
+      "extra_point_degrees": [],
+      "provenance": "classification"
+    },
+    {
+      "narrative": "NonReducedCurve",
+      "curve_degree": 5,
+      "h0": 6,
+      "h1": 6,
+      "chi": 0,
+      "geom_connected": true,
+      "geom_reduced": false,
+      "geom_irreducible": true,
+      "extra_point_degrees": [],
+      "provenance": "classification"
+    }
+  ]
+}
+"""
+
+FEASIBLE_EMPTY_TABLE = """\
+0 admissible profile(s) for 5t+1 at index 5 (constraints are jointly unsatisfiable)
+"""
+
+FEASIBLE_EMPTY_JSON = """\
+{
+  "schema_version": 1,
+  "command": "feasible",
+  "algebra": {
+    "degree": 5,
+    "index": 5,
+    "exponent": 5,
+    "division": true
+  },
+  "poly": {
+    "r": 5,
+    "s": 1
+  },
+  "profile_count": 0,
+  "profiles": []
+}
+"""
+
+FAMILY_NGON_TABLE = """\
+family   degree  h0  h1  edge_transitive  vertex_single_orbit
+-------  ------  --  --  ---------------  -------------------
+ngon(5)  5       1   1   yes              yes
+
+m  h0  h1  chi  spans
+-  --  --  ---  -----
+0  1   1   0    yes
+1  5   0   5    yes
+
+h1_O_equals_1  h1_O1_vanishes  nodal
+-------------  --------------  -----
+yes            yes             yes
+"""
+
+FAMILY_NGON_JSON = """\
+{
+  "schema_version": 1,
+  "command": "family",
+  "family": "ngon",
+  "size": 5,
+  "report": {
+    "degree": 5,
+    "h0": 1,
+    "h1": 1,
+    "edge_transitive": true,
+    "vertex_single_orbit": true
+  },
+  "embedding": {
+    "method": "standard",
+    "ambient_dim": 5
+  },
+  "cohomology": [
+    {
+      "m": 0,
+      "h0": 1,
+      "h1": 1,
+      "chi": 0,
+      "spans": true
+    },
+    {
+      "m": 1,
+      "h0": 5,
+      "h1": 0,
+      "chi": 5,
+      "spans": true
+    }
+  ],
+  "smoothing": {
+    "h1_O_equals_1": true,
+    "h1_O1_vanishes": true,
+    "nodal": true
+  }
+}
+"""
+
+FAMILY_DISJOINT_TABLE = """\
+family          degree  h0  h1  edge_transitive  vertex_single_orbit
+--------------  ------  --  --  ---------------  -------------------
+disjoint-lines  2       2   0   yes              yes
+"""
+
+FAMILY_DISJOINT_JSON = """\
+{
+  "schema_version": 1,
+  "command": "family",
+  "family": "disjoint-lines",
+  "size": null,
+  "report": {
+    "degree": 2,
+    "h0": 2,
+    "h1": 0,
+    "edge_transitive": true,
+    "vertex_single_orbit": true
+  }
+}
+"""
+
+CLASSIFY_TABLE = """\
+degree  h0  h1  edge_transitive  vertex_single_orbit  pgon(p=5)
+------  --  --  ---------------  -------------------  ---------
+5       1   1   yes              yes                  yes
+"""
+
+CLASSIFY_JSON = """\
+{
+  "schema_version": 1,
+  "command": "classify",
+  "path": "pentagon.cfg",
+  "report": {
+    "degree": 5,
+    "h0": 1,
+    "h1": 1,
+    "edge_transitive": true,
+    "vertex_single_orbit": true
+  },
+  "pgon_parameter": 5,
+  "is_pgon": true
+}
+"""
+
+COHOMOLOGY_TABLE = """\
+m  h0  h1  chi  spans
+-  --  --  ---  -----
+0  1   1   0    yes
+1  5   0   5    yes
+2  10  0   10   yes
+"""
+
+COHOMOLOGY_JSON = """\
+{
+  "schema_version": 1,
+  "command": "cohomology",
+  "path": "pentagon.cfg",
+  "ambient_dim": 5,
+  "cohomology": [
+    {
+      "m": 0,
+      "h0": 1,
+      "h1": 1,
+      "chi": 0,
+      "spans": true
+    },
+    {
+      "m": 1,
+      "h0": 5,
+      "h1": 0,
+      "chi": 5,
+      "spans": true
+    },
+    {
+      "m": 2,
+      "h0": 10,
+      "h1": 0,
+      "chi": 10,
+      "spans": true
+    }
+  ]
+}
+"""
+
+CHECK_PLAIN_TABLE = """\
+ok
+
+vertices  edges  generators  embedded  ambient_dim
+--------  -----  ----------  --------  -----------
+3         3      1           no        -
+"""
+
+CHECK_PLAIN_JSON = """\
+{
+  "schema_version": 1,
+  "command": "check-config",
+  "path": "triangle.cfg",
+  "vertices": 3,
+  "edges": 3,
+  "generators": 1,
+  "embedded": false,
+  "ambient_dim": null
+}
+"""
+
+CHECK_EMBEDDED_TABLE = """\
+ok
+
+vertices  edges  generators  embedded  ambient_dim
+--------  -----  ----------  --------  -----------
+5         5      1           yes       5
+"""
+
+CHECK_EMBEDDED_JSON = """\
+{
+  "schema_version": 1,
+  "command": "check-config",
+  "path": "pentagon.cfg",
+  "vertices": 5,
+  "edges": 5,
+  "generators": 1,
+  "embedded": true,
+  "ambient_dim": 5
+}
+"""
+
+GOLDEN = {
+    "feasible-5t": (FEASIBLE_DEG5, FEASIBLE_5T_TABLE, FEASIBLE_5T_JSON),
+    "feasible-empty": (
+        FEASIBLE_DEG5[:-1] + ["5,1"], FEASIBLE_EMPTY_TABLE, FEASIBLE_EMPTY_JSON
+    ),
+    "family-ngon": (
+        ["family", "ngon", "5", "--cohomology", "0,1", "--smoothing"],
+        FAMILY_NGON_TABLE,
+        FAMILY_NGON_JSON,
+    ),
+    "family-disjoint": (["family", "disjoint-lines"], FAMILY_DISJOINT_TABLE, FAMILY_DISJOINT_JSON),
+    "classify": (["classify", "pentagon.cfg"], CLASSIFY_TABLE, CLASSIFY_JSON),
+    "cohomology": (
+        ["cohomology", "pentagon.cfg", "--twist", "0,1,2"], COHOMOLOGY_TABLE, COHOMOLOGY_JSON
+    ),
+    "check-config-plain": (["check-config", "triangle.cfg"], CHECK_PLAIN_TABLE, CHECK_PLAIN_JSON),
+    "check-config-embedded": (
+        ["check-config", "pentagon.cfg"], CHECK_EMBEDDED_TABLE, CHECK_EMBEDDED_JSON
+    ),
+}
+
+
+class TestByteExactOutput:
+    @pytest.fixture(autouse=True)
+    def config_dir(self, tmp_path, monkeypatch):
+        (tmp_path / "pentagon.cfg").write_text(PENTAGON, encoding="utf-8")
+        (tmp_path / "triangle.cfg").write_text(TRIANGLE, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SBCURVES_FORMAT", raising=False)
+
+    @staticmethod
+    def stdout_of(argv, capsys):
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return captured.out
+
+    @pytest.mark.parametrize("case", GOLDEN)
+    def test_table(self, case, capsys):
+        argv, table, _ = GOLDEN[case]
+        assert self.stdout_of(argv, capsys) == table
+        assert self.stdout_of(argv + ["--format", "table"], capsys) == table
+
+    @pytest.mark.parametrize("case", GOLDEN)
+    def test_json(self, case, capsys, monkeypatch):
+        argv, _, doc = GOLDEN[case]
+        assert self.stdout_of(argv + ["--format", "json"], capsys) == doc
+        monkeypatch.setenv("SBCURVES_FORMAT", "json")
+        assert self.stdout_of(argv, capsys) == doc
+
+    def test_readme_table_is_the_cli_table(self, capsys):
+        fenced = re.search(r"```\n(narrative .*?)```", README.read_text(encoding="utf-8"), re.S)
+        out = self.stdout_of(FEASIBLE_DEG5, capsys)
+        assert out.split("\n\n", 1)[1] == fenced.group(1)
+
+
+# The exit-code contract over argv drawn from the CLI grammar.  Sizes are
+# capped (cube <= 4, ngon <= 60, complete <= 8, feasible constant term <= 40)
+# because runaway work is not yet refused with exit 5; widen the caps once
+# explicit resource bounds exist.
+
+CONFIG_FILES = {
+    "good.cfg": PENTAGON.encode(),
+    "abstract.cfg": TRIANGLE.encode(),
+    "malformed.cfg": b"[vertices]\na: 0.5, 1, 0\nb: 0, 1, 0\n[edges]\na b\n",
+    "edgeless.cfg": b"[vertices]\na\nb\n[edges]\n",
+    "non-utf8.cfg": b"[vertices]\n\xff\n",
+}
+SIZE_CAPS = {"ngon": 60, "cube": 4, "complete": 8}
+
+def mostly(good, bad):
+    """Draw from ``good`` nine times in ten and from ``bad`` otherwise."""
+    return st.integers(0, 9).flatmap(lambda i: good if i < 9 else bad)
+
+
+twist_text = mostly(
+    st.lists(st.integers(-5, 1000), min_size=1, max_size=4).map(lambda ms: ",".join(map(str, ms))),
+    st.sampled_from(["", "0,", "a", "1.0"]),
+)
+
+
+@st.composite
+def algebra_values(draw):
+    """A (degree, index, exponent) triple that passes validation."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+    return n * draw(st.integers(1, 2)), n, m
+
+
+@st.composite
+def feasible_argv(draw):
+    values = draw(mostly(algebra_values(), st.tuples(*[st.integers(-3, 12)] * 3)))
+    argv = ["feasible"]
+    for flag, value in zip(("--degree", "--index", "--exponent"), values):
+        argv += draw(mostly(st.just([f"{flag}={value}"]), st.sampled_from([[], [f"{flag}=x"]])))
+    if draw(mostly(st.just(True), st.just(False))):
+        argv.append("--division")
+    n = values[1]
+    r = draw(mostly(st.just(n if n % 2 else n // 2), st.integers(-2, 12)))
+    poly = mostly(st.integers(-5, 40).map(lambda s: f"{r},{s}"), st.sampled_from(["7", "1.5,0", "1,2,3"]))
+    argv += draw(mostly(st.just([f"--poly={draw(poly)}"]), st.just([])))
+    return argv
+
+
+@st.composite
+def family_argv(draw):
+    name = draw(mostly(st.sampled_from([*SIZE_CAPS, "disjoint-lines"]), st.just("bogus")))
+    argv = ["family", name]
+    sized = st.integers(-2, SIZE_CAPS[name]) if name in SIZE_CAPS else st.none()
+    size = draw(mostly(sized, st.none() | st.integers(0, 3)))
+    if size is not None:
+        argv.append(str(size))
+    if draw(st.booleans()):
+        argv.append(f"--embed-dim={draw(st.integers(-2, 64))}")
+    if draw(st.booleans()):
+        argv.append(f"--cohomology={draw(twist_text)}")
+    if draw(st.booleans()):
+        argv.append("--smoothing")
+    if draw(st.booleans()):
+        argv.append(f"--embed={draw(mostly(st.just('standard'), st.just('generic')))}")
+    return argv
+
+
+@st.composite
+def config_argv(draw):
+    command = draw(st.sampled_from(["classify", "cohomology", "check-config"]))
+    argv = [command, draw(mostly(st.sampled_from(list(CONFIG_FILES)), st.just("missing.cfg")))]
+    if command == "classify" and draw(st.booleans()):
+        argv.append(f"--pgon={draw(st.integers(-3, 10**6))}")
+    if command == "cohomology":
+        argv += draw(mostly(st.just([f"--twist={draw(twist_text)}"]), st.just([])))
+    return argv
+
+
+cli_argv = st.tuples(
+    mostly(st.one_of(feasible_argv(), family_argv(), config_argv()), st.just(["bogus-command"])),
+    mostly(st.sampled_from([[], ["--format=table"], ["--format=json"]]), st.just(["--format=xml"])),
+    mostly(st.just([]), st.sampled_from([["--bogus"], ["--help"]])),
+).map(lambda parts: parts[0] + parts[1] + parts[2])
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("configs")
+    for name, data in CONFIG_FILES.items():
+        (root / name).write_bytes(data)
+    return root
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=cli_argv, env_format=mostly(st.sampled_from([None, "json", "table", ""]), st.just("xml")))
+def test_every_argv_maps_to_a_contract_exit_status(config_dir, argv, env_format):
+    argv = [str(config_dir / a) if a.endswith(".cfg") else a for a in argv]
+    with pytest.MonkeyPatch.context() as mp:
+        if env_format is None:
+            mp.delenv("SBCURVES_FORMAT", raising=False)
+        else:
+            mp.setenv("SBCURVES_FORMAT", env_format)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            status = main(argv)
+    assert status in {EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_INVARIANT, EXIT_PRECONDITION}

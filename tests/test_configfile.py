@@ -1,5 +1,6 @@
 """Tests for the configuration file format."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -162,3 +163,21 @@ class TestInvariantViolations:
         text = "[vertices]\na: 1, 0\nb: 0, 1\n[edges]\na b\n"
         with pytest.raises(InvariantError, match="ambient_dim"):
             parse_config_text(text)
+
+
+class TestScale:
+    def test_large_ngon_with_image_list_parses_in_linear_time(self):
+        n = 50_000
+        names = [f"v{i}" for i in range(n)]
+        text = "\n".join(
+            ["[vertices]", *names, "[edges]"]
+            + [f"{names[i]} {names[(i + 1) % n]}" for i in range(n)]
+            + ["[generators]", " ".join(names[1:] + names[:1])]
+        )
+        start = time.perf_counter()
+        parsed = parse_config_text(text)
+        elapsed = time.perf_counter() - start
+        assert len(parsed.config.edges) == n
+        # well under a second when vertex lookups are hashed; membership scans
+        # of the declaration list took tens of seconds
+        assert elapsed < 10
