@@ -340,7 +340,15 @@ def main(argv=None) -> int:
     status, text = run(args)
     stream = sys.stdout if status == EXIT_OK else sys.stderr
     if text:
-        print(text, file=stream)
+        try:
+            print(text, file=stream)
+            stream.flush()
+        except BrokenPipeError:
+            # the reader left early; point the stream at devnull so the
+            # flush at interpreter exit has nowhere to fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
     return status
 
 

@@ -19,21 +19,59 @@ m = 0 a form is a constant, and the kernel is the functions constant on each
 connected component: h0 = components and h1 = E - V + h0.
 
 The vertex coordinates enter only ``spans``, whether the vertices span the
-ambient space, which is an exact rational rank; no floats anywhere.
+ambient space.  Each coordinate vector is stored once, at construction, as
+its primitive integer row (denominators cleared, divided by the gcd, first
+nonzero entry positive), so proportional vectors are equal rows.  ``spans``
+is the rank of those rows by fraction-free integer elimination, computed at
+most once per embedding; no floats anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import attrgetter
 
 from .errors import InvariantError, PreconditionError
 from .lineconfig import LineConfig, _component_count
 
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def _integer_row(row):
+    """The row scaled by the lcm of its denominators: integer entries, same span."""
+    nums = list(map(_numerator, row))
+    dens = list(map(_denominator, row))
+    den = math.lcm(*set(dens))
+    if den == 1:
+        return nums
+    return [x * (den // q) for x, q in zip(nums, dens)]
+
+
+def _primitive(ints):
+    """The nonzero integer row divided by its gcd, first nonzero entry positive.
+
+    Two nonzero rational rows are proportional iff these agree.
+    """
+    g = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    if g == 1:
+        return tuple(ints)
+    return tuple(x // g for x in ints)
+
 
 def _rank(rows, ncols):
-    """Rank over the rationals; pivots on the first nonzero entry per column."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+    """Rank over the rationals by fraction-free elimination on integer rows.
+
+    Each row is first cleared of denominators; a row update
+    ``lead * row_i - factor * row_r`` keeps the entries integral and is
+    divided by its gcd, so they stay small.
+    """
+    mat = [_integer_row(row) for row in rows]
     nrows = len(mat)
     rank = 0
     for col in range(ncols):
@@ -45,14 +83,17 @@ def _rank(rows, ncols):
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
+        row_r = mat[rank]
+        lead = row_r[col]
         for i in range(rank + 1, nrows):
-            factor = mat[i][col]
+            row_i = mat[i]
+            factor = row_i[col]
             if factor:
-                ratio = factor / lead
-                row_i, row_r = mat[i], mat[rank]
-                for j in range(col, ncols):
-                    row_i[j] -= ratio * row_r[j]
+                updated = [lead * a - factor * b for a, b in zip(row_i[col:], row_r[col:])]
+                g = math.gcd(*updated)
+                if g > 1:
+                    updated = [x // g for x in updated]
+                row_i[col:] = updated
         rank += 1
         if rank == nrows:
             break
@@ -69,55 +110,61 @@ def _as_fraction(value):
     )
 
 
-def _direction(vec):
-    # proportional vectors agree after dividing by the first nonzero entry
-    lead = next(x for x in vec if x)
-    return tuple(x / lead for x in vec)
-
-
+@dataclass(frozen=True, eq=False)
 class EmbeddedConfig:
     """A line configuration with exact rational coordinates for each vertex.
 
     ``ambient_dim`` is the number d of homogeneous coordinates (the ambient
     projective space has dimension d - 1, so d >= 3).  Coordinate vectors
     must be nonzero and pairwise non-proportional; in particular the two
-    endpoints of every edge span an honest line.
+    endpoints of every edge span an honest line.  ``rows`` holds each
+    vertex's primitive integer row, in vertex order.
     """
 
-    __slots__ = ("base", "ambient_dim", "coords")
+    base: LineConfig
+    ambient_dim: int
+    coords: dict
+    rows: tuple = field(init=False, repr=False)
 
-    def __init__(self, base: LineConfig, ambient_dim: int, coords):
+    def __post_init__(self):
+        base, ambient_dim, coords = self.base, self.ambient_dim, self.coords
         if isinstance(ambient_dim, bool) or not isinstance(ambient_dim, int) or ambient_dim < 3:
             raise InvariantError(
                 f"ambient_dim must be an integer >= 3, got {ambient_dim!r}"
             )
         clean = {}
+        rows = []
         for v in base.vertices:
             if v not in coords:
                 raise InvariantError(f"vertex {v!r} has no coordinates")
-            vec = tuple(_as_fraction(x) for x in coords[v])
+            vec = tuple(coords[v])
+            # anything but plain Fractions is checked and converted entry by entry
+            if set(map(type, vec)) != {Fraction}:
+                vec = tuple(_as_fraction(x) for x in vec)
             if len(vec) != ambient_dim:
                 raise InvariantError(
                     f"vertex {v!r} has {len(vec)} coordinates, expected {ambient_dim}"
                 )
-            if not any(vec):
+            ints = _integer_row(vec)
+            if not any(ints):
                 raise InvariantError(f"vertex {v!r} has the zero vector as coordinates")
             clean[v] = vec
-        directions = {}
-        for v in base.vertices:
-            direction = _direction(clean[v])
-            if direction in directions:
+            rows.append(_primitive(ints))
+        first = {}
+        for v, row in zip(base.vertices, rows):
+            if row in first:
                 raise InvariantError(
-                    f"vertices {directions[direction]!r} and {v!r} have proportional "
+                    f"vertices {first[row]!r} and {v!r} have proportional "
                     "coordinate vectors"
                 )
-            directions[direction] = v
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
+            first[row] = v
         object.__setattr__(self, "coords", clean)
+        object.__setattr__(self, "rows", tuple(rows))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EmbeddedConfig is immutable")
+    @cached_property
+    def spans(self) -> bool:
+        """Whether the vertices span the ambient space, ranked on first use only."""
+        return _spans(self)
 
 
 @dataclass(frozen=True)
@@ -159,16 +206,19 @@ def standard_embedding(config: LineConfig, d: int) -> EmbeddedConfig:
             f"{len(config.vertices)} vertices do not fit in {d} coordinates; "
             "supply explicit coordinates instead"
         )
+    zero, one = Fraction(0), Fraction(1)
     coords = {
-        v: tuple(Fraction(1 if j == i else 0) for j in range(d))
+        v: (zero,) * i + (one,) + (zero,) * (d - i - 1)
         for i, v in enumerate(config.vertices)
     }
     return EmbeddedConfig(config, d, coords)
 
 
 def _spans(cfg: EmbeddedConfig) -> bool:
-    rows = [cfg.coords[v] for v in cfg.base.vertices]
-    return _rank(rows, cfg.ambient_dim) == cfg.ambient_dim
+    # V vectors span at most a V-dimensional space
+    if len(cfg.rows) < cfg.ambient_dim:
+        return False
+    return _rank(cfg.rows, cfg.ambient_dim) == cfg.ambient_dim
 
 
 def twist_cohomology(cfg: EmbeddedConfig, m: int) -> CohomReport:
@@ -186,7 +236,7 @@ def twist_cohomology(cfg: EmbeddedConfig, m: int) -> CohomReport:
         h1 = lines - points + h0
     else:
         h0, h1 = lines * (m - 1) + points, 0
-    return CohomReport(m=m, h0=h0, h1=h1, chi=h0 - h1, spans=_spans(cfg))
+    return CohomReport(m=m, h0=h0, h1=h1, chi=h0 - h1, spans=cfg.spans)
 
 
 def smoothing_hypotheses(cfg: EmbeddedConfig) -> SmoothingReport:

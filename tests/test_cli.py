@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import sbcurves.cohomology
 from sbcurves.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -20,7 +25,8 @@ from sbcurves.cli import (
     run,
 )
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 PENTAGON = """\
 [vertices]
@@ -253,6 +259,78 @@ class TestConfigCommands:
         assert "coordinates" in text
 
 
+class TestEmbeddedFileChecks:
+    """Proportionality is read off primitive integer rows, through the CLI."""
+
+    @staticmethod
+    def write(tmp_path, a, b):
+        path = tmp_path / "line.cfg"
+        path.write_text(f"[vertices]\na: {a}\nb: {b}\n[edges]\na b\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", [["cohomology", "--twist", "0"], ["check-config"]])
+    def test_rational_and_integer_multiples_are_proportional(self, tmp_path, command):
+        path = self.write(tmp_path, "1/2, -1/3, 0", "-3, 2, 0")
+        status, text = invoke([command[0], path, *command[1:]])
+        assert status == EXIT_INVARIANT
+        assert text == "error: vertices 'a' and 'b' have proportional coordinate vectors"
+
+    @pytest.mark.parametrize("command", [["cohomology", "--twist", "0"], ["check-config"]])
+    def test_sign_flip_of_one_entry_is_not_proportional(self, tmp_path, command):
+        path = self.write(tmp_path, "1, 2, 0", "-1, 2, 0")
+        status, _ = invoke([command[0], path, *command[1:]])
+        assert status == EXIT_OK
+
+
+class TestSpansRankedOnce:
+    @pytest.fixture
+    def rank_calls(self, monkeypatch):
+        calls = []
+        rank = sbcurves.cohomology._rank
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return rank(rows, ncols)
+
+        monkeypatch.setattr(sbcurves.cohomology, "_rank", counted)
+        return calls
+
+    @staticmethod
+    def ngon30(*extra):
+        status, text = invoke(["family", "ngon", "30", "--cohomology", "0,1,2", "--smoothing",
+                               "--format", "json", *extra])
+        assert status == EXIT_OK
+        return json.loads(text)
+
+    def test_one_rank_for_all_twists_and_smoothing(self, rank_calls):
+        doc = self.ngon30()
+        assert rank_calls == [30]
+        assert [(r["h0"], r["h1"], r["spans"]) for r in doc["cohomology"]] == [
+            (1, 1, True), (30, 0, True), (60, 0, True)
+        ]
+        assert doc["smoothing"] == {"h1_O_equals_1": True, "h1_O1_vanishes": True, "nodal": True}
+
+    def test_fewer_vertices_than_coordinates_needs_no_rank(self, rank_calls):
+        doc = self.ngon30("--embed-dim", "40")
+        assert rank_calls == []
+        assert [r["spans"] for r in doc["cohomology"]] == [False, False, False]
+
+
+class TestScale:
+    def test_ngon_1009_with_twists_and_smoothing(self):
+        start = time.perf_counter()
+        status, text = invoke(["family", "ngon", "1009", "--cohomology", "0,1,2", "--smoothing",
+                               "--format", "json"])
+        elapsed = time.perf_counter() - start
+        assert status == EXIT_OK
+        doc = json.loads(text)
+        assert [(r["h0"], r["h1"], r["spans"]) for r in doc["cohomology"]] == [
+            (1, 1, True), (1009, 0, True), (2018, 0, True)
+        ]
+        # about a second when the 1009 x 1009 rank is integer and runs once
+        assert elapsed < 10
+
+
 class TestDeterminismAndPlumbing:
     def test_identical_queries_identical_output(self):
         results = {invoke(FEASIBLE_DEG5) for _ in range(3)}
@@ -297,6 +375,23 @@ class TestDeterminismAndPlumbing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "no lines" in captured.err
+
+    def test_closed_pipe_is_not_a_traceback(self):
+        # megabytes of JSON, so the write outlives a reader that takes one line
+        argv = ["feasible", "--degree", "5", "--index", "5", "--exponent", "5", "--division",
+                "--poly", "5,100", "--format", "json"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sbcurves", *argv],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert b"Traceback" not in stderr
+        contract = (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_INVARIANT, EXIT_PRECONDITION)
+        assert proc.returncode in contract
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == EXIT_OK

@@ -8,6 +8,9 @@ report is checked against the complex itself.  The chi identity h0 - h1 =
 E(m+1) - sum(branches - 1) is an independent count of columns minus rows of
 that complex, and the m = 0 values must reproduce the component count and
 cycle rank computed from the graph alone.
+
+``_rank`` is fraction-free elimination on integer rows; the Fraction
+elimination it replaced is kept below as its differential oracle.
 """
 
 import random
@@ -30,6 +33,65 @@ from sbcurves import (
     twist_cohomology,
 )
 from sbcurves.cohomology import CohomReport, _rank, _spans
+
+
+def fraction_rank(rows, ncols):
+    """Rank over the rationals by Fraction elimination, pivoting on the first
+    nonzero entry per column."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(mat)
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(rank, nrows):
+            if mat[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        lead = mat[rank][col]
+        for i in range(rank + 1, nrows):
+            factor = mat[i][col]
+            if factor:
+                ratio = factor / lead
+                row_i, row_r = mat[i], mat[rank]
+                for j in range(col, ncols):
+                    row_i[j] -= ratio * row_r[j]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def random_rational_matrix(rng, nrows, ncols):
+    """Rows drawn at random, as rational combinations of other rows, or zero.
+
+    Numerators and denominators reach 10^6; some independent rows are plain
+    integers and some entries are zero.
+    """
+    bound = 10**6
+
+    def entry():
+        if rng.random() < 0.2:
+            return 0
+        if rng.random() < 0.3:
+            return rng.randint(-bound, bound)
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+    independent = [[entry() for _ in range(ncols)] for _ in range(rng.randint(0, nrows))]
+    rows = list(independent)
+    while len(rows) < nrows:
+        if not independent or rng.random() < 0.2:
+            rows.append([0] * ncols)
+            continue
+        combined = [Fraction(0)] * ncols
+        for source in rng.sample(independent, rng.randint(1, len(independent))):
+            coefficient = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+            combined = [c + coefficient * x for c, x in zip(combined, source)]
+        rows.append(combined)
+    rng.shuffle(rows)
+    return rows, len(independent)
 
 
 def embeddable_families():
@@ -232,6 +294,27 @@ class TestEmbeddings:
         with pytest.raises(InvariantError):
             EmbeddedConfig(line, 3, {"a": (1.0, 0, 0), "b": (0, 1, 0)})
 
+    @pytest.mark.parametrize(
+        "bad", [(True, 0, 0), (0, 0.5, 0), (Fraction(0), Fraction(0), Fraction(0))]
+    )
+    def test_rejects_bool_float_and_zero_entries_in_any_position(self, bad):
+        line = LineConfig(["a", "b"], [("a", "b")])
+        with pytest.raises(InvariantError):
+            EmbeddedConfig(line, 3, {"a": (0, 1, 0), "b": bad})
+
+    def test_rational_multiple_of_an_integer_row_is_proportional(self):
+        line = LineConfig(["a", "b"], [("a", "b")])
+        coords = {"a": (Fraction(1, 2), Fraction(-1, 3), 0), "b": (-3, 2, 0)}
+        with pytest.raises(InvariantError, match="'a' and 'b' have proportional"):
+            EmbeddedConfig(line, 3, coords)
+
+    def test_rows_are_primitive_and_coords_stay_fractions(self):
+        line = LineConfig(["a", "b"], [("a", "b")])
+        cfg = EmbeddedConfig(line, 3, {"a": (Fraction(1, 2), Fraction(-1, 3), 0), "b": (-1, 2, 0)})
+        assert cfg.rows == ((3, -2, 0), (1, -2, 0))
+        assert cfg.coords["a"] == (Fraction(1, 2), Fraction(-1, 3), Fraction(0))
+        assert all(type(x) is Fraction for vec in cfg.coords.values() for x in vec)
+
 
 class TestSmoothingHypotheses:
     def test_ngon5(self):
@@ -256,6 +339,20 @@ class TestSmoothingHypotheses:
 def test_negative_twist_rejected():
     with pytest.raises(PreconditionError):
         twist_cohomology(standard_embedding(ngon(3), 3), -1)
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide", "square"])
+def test_rank_matches_fraction_elimination(shape):
+    rng = random.Random(1968)
+    for _ in range(60):
+        size = rng.randint(1, 12)
+        other = rng.randint(1, size - 1) if size > 1 else size
+        shapes = {"tall": (size, other), "wide": (other, size), "square": (size, size)}
+        nrows, ncols = shapes[shape]
+        rows, independent = random_rational_matrix(rng, nrows, ncols)
+        rank = _rank(rows, ncols)
+        assert rank == fraction_rank(rows, ncols)
+        assert rank <= min(independent, ncols)
 
 
 def test_rank_helper_known_matrices():
