@@ -3,10 +3,13 @@
 On the variety of a division algebra of index n, a subscheme with linear
 polynomial r*t + s in the minimal-degree regime r = f(n) (f(n) = n for odd
 n, n/2 for even n) contains a unique curve component, generically reduced
-and of degree exactly r.  The engine walks the reduced/nonreduced and
-irreducible/reducible branches of the case analysis, applies every
-divisibility and genus constraint, and emits the surviving numerical
-profiles.
+and of degree exactly r.  The engine first lists the curve shapes
+(h0, h1 and the connected/reduced/irreducible flags) that the branches of
+the case analysis allow under every divisibility and genus constraint:
+integral, reduced and reducible, and nonreduced over each reduced shape.
+It then pairs each shape with every multiset of residual-point degrees that
+balances the Euler characteristic, taken from one table per query that
+partitions each point total once, and emits the numerical profiles.
 
 For odd prime index with s = 0 the branch analysis is complete and the
 output is a classification; in other regimes the profiles are candidates
@@ -103,7 +106,7 @@ def _point_multisets(total, n):
     """Residual-point degree multisets: multiples of n summing to ``total``.
 
     Point degrees on the variety of a division algebra are multiples of the
-    index, which bounds the search: an empty result means the branch cannot
+    index, which bounds the search: an empty result means the shape cannot
     balance its Euler characteristic.
     """
     if total < 0:
@@ -179,98 +182,6 @@ def _reducible_shapes(r, divisor):
     ]
 
 
-def _integral_branch(n, d, r, s, divisor, provenance):
-    """Profiles whose curve is geometrically integral, plus residual points."""
-    profiles = []
-    for h1 in _integral_shapes(n, d, r, divisor):
-        smooth = h1 == 1
-        for points in _point_multisets(s - (1 - h1), n):
-            if smooth:
-                narrative = (
-                    Narrative.WITH_RESIDUAL_POINT if points else Narrative.SMOOTH_GENUS_ONE
-                )
-            else:
-                narrative = Narrative.SINGULAR_INTEGRAL
-            profiles.append(
-                SubschemeProfile(
-                    curve_degree=r,
-                    h0=1,
-                    h1=h1,
-                    geom_connected=True,
-                    geom_reduced=True,
-                    geom_irreducible=True,
-                    extra_point_degrees=points,
-                    narrative=narrative,
-                    provenance=provenance,
-                )
-            )
-    return profiles
-
-
-def _reducible_branch(n, r, s, divisor, settled):
-    """Profiles whose curve is reduced and geometrically reducible.
-
-    At odd prime index with s = 0 the shape is forced: the curve is an
-    n-gon of lines and the subscheme is the curve.  Elsewhere the branch
-    emits every candidate the constraints allow.
-    """
-    if settled:
-        return [reducible_case(n)]
-    return [
-        SubschemeProfile(
-            curve_degree=r,
-            h0=h0,
-            h1=h1,
-            geom_connected=h0 == 1,
-            geom_reduced=True,
-            geom_irreducible=False,
-            extra_point_degrees=points,
-            narrative=Narrative.REDUCIBLE_CURVE,
-            provenance=FILTERED,
-        )
-        for (h0, h1) in _reducible_shapes(r, divisor)
-        for points in _point_multisets(s - (h0 - h1), n)
-    ]
-
-
-def _nonreduced_branch(n, d, r, s, divisor, settled, provenance):
-    """Profiles with a nonreduced (but generically reduced) curve.
-
-    The underlying reduced curve is one of the reduced shapes: passing to
-    the nonreduced structure keeps h1 and strictly increases h0, and the
-    curve's Euler divisibility pins the possible h0 values.  At odd prime
-    index a reducible curve is automatically reduced, so only the n-gon
-    shape joins the integral ones there; it never survives the h0 search.
-    """
-    shapes = [(1, h1, True) for h1 in _integral_shapes(n, d, r, divisor)]
-    if settled:
-        shapes.append((1, 1, False))
-    else:
-        shapes.extend(
-            (h0_red, h1, False) for h0_red, h1 in _reducible_shapes(r, divisor)
-        )
-
-    profiles = {}
-    for h0_red, h1, irreducible in shapes:
-        for h0 in range(h0_red + 1, s + h1 + 1):
-            if (h0 - h1) % divisor:
-                continue
-            for points in _point_multisets(s - (h0 - h1), n):
-                profile = SubschemeProfile(
-                    curve_degree=r,
-                    h0=h0,
-                    h1=h1,
-                    geom_connected=h0_red == 1,
-                    geom_reduced=False,
-                    geom_irreducible=irreducible,
-                    extra_point_degrees=points,
-                    narrative=Narrative.NON_REDUCED_CURVE,
-                    provenance=provenance,
-                )
-                profiles.setdefault(profile, None)
-    return list(profiles)
-
-
 def enumerate_profiles(alg: AlgebraInvariants, poly: NumPoly) -> list:
     """All subscheme profiles of the minimal-degree regime the constraints allow.
 
@@ -292,7 +203,6 @@ def enumerate_profiles(alg: AlgebraInvariants, poly: NumPoly) -> list:
         f"no subscheme has Hilbert polynomial {poly} (empty Hilbert scheme)",
     )
 
-    divisor = min_curve_degree(n)
     if not euler_admissible(s, n):
         return []
 
@@ -305,13 +215,63 @@ def enumerate_profiles(alg: AlgebraInvariants, poly: NumPoly) -> list:
     else:
         nonreduced_provenance = FILTERED
 
-    profiles = []
-    profiles += _integral_branch(n, d, r, s, divisor, reduced_provenance)
-    profiles += _reducible_branch(n, r, s, divisor, settled)
-    profiles += _nonreduced_branch(n, d, r, s, divisor, settled, nonreduced_provenance)
+    # curve shapes: (h0, h1, connected, reduced, irreducible, narrative, provenance);
+    # their order (integral, then reducible) breaks ties between equal sort keys
+    shapes = [
+        (1, h1, True, True, True,
+         Narrative.SMOOTH_GENUS_ONE if h1 == 1 else Narrative.SINGULAR_INTEGRAL,
+         reduced_provenance)
+        for h1 in _integral_shapes(n, d, r, f)
+    ]
+    if settled:
+        # at odd prime index with s = 0 the reducible curve is the n-gon of lines
+        pgon = reducible_case(n)
+        shapes.append((pgon.h0, pgon.h1, pgon.geom_connected, pgon.geom_reduced,
+                       pgon.geom_irreducible, pgon.narrative, pgon.provenance))
+    else:
+        shapes.extend(
+            (h0, h1, h0 == 1, True, False, Narrative.REDUCIBLE_CURVE, FILTERED)
+            for h0, h1 in _reducible_shapes(r, f)
+        )
 
-    for profile in profiles:
-        assert profile.chi() == s
-        assert all(point_degree_admissible(deg, n) for deg in profile.extra_point_degrees)
+    # A nonreduced (but generically reduced) curve lies over one of the
+    # reduced shapes: it keeps h1 and strictly raises h0, within the Euler
+    # divisibility.  No two reduced shapes share h1 and flags (their h0 is 1,
+    # or the one value in 1..r congruent to h1 mod r), so no profile repeats.
+    # At odd prime index a reducible curve is automatically reduced, and the
+    # n-gon shape never survives the h0 search.
+    shapes += [
+        (h0, h1, connected, False, irreducible, Narrative.NON_REDUCED_CURVE,
+         nonreduced_provenance)
+        for h0_red, h1, connected, _, irreducible, _, _ in shapes
+        for h0 in range(h0_red + 1, s + h1 + 1)
+        if (h0 - h1) % f == 0
+    ]
+
+    multisets = {}  # point total -> residual-point multisets, partitioned once per query
+    profiles = []
+    for h0, h1, connected, reduced, irreducible, narrative, provenance in shapes:
+        total = s - (h0 - h1)
+        if total not in multisets:
+            multisets[total] = _point_multisets(total, n)
+            assert all(point_degree_admissible(deg, n) for p in multisets[total] for deg in p)
+        for points in multisets[total]:
+            profile = SubschemeProfile(
+                curve_degree=r,
+                h0=h0,
+                h1=h1,
+                geom_connected=connected,
+                geom_reduced=reduced,
+                geom_irreducible=irreducible,
+                extra_point_degrees=points,
+                narrative=(
+                    Narrative.WITH_RESIDUAL_POINT
+                    if points and narrative is Narrative.SMOOTH_GENUS_ONE
+                    else narrative
+                ),
+                provenance=provenance,
+            )
+            assert profile.chi() == s
+            profiles.append(profile)
 
     return sorted(profiles, key=SubschemeProfile.sort_key)

@@ -15,12 +15,13 @@ group orbits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .constraints import is_prime
 from .errors import InvariantError, PreconditionError
 
 
+@dataclass(frozen=True, eq=False)
 class LineConfig:
     """Immutable configuration graph with a permutation action on the vertices.
 
@@ -32,17 +33,20 @@ class LineConfig:
     the lines), and that every generator permutes the edge set.
     """
 
-    __slots__ = ("vertices", "edges", "action", "_position")
+    vertices: tuple
+    edges: tuple
+    action: tuple = ()
+    _position: dict = field(init=False, repr=False)
 
-    def __init__(self, vertices, edges, action=()):
-        vertices = tuple(vertices)
+    def __post_init__(self):
+        vertices = tuple(self.vertices)
         if len(set(vertices)) != len(vertices):
             raise InvariantError("vertex ids must be distinct")
         position = {v: i for i, v in enumerate(vertices)}
 
         normalized = []
         seen = set()
-        for pair in edges:
+        for pair in self.edges:
             u, v = pair
             if u not in position or v not in position:
                 raise InvariantError(f"edge {pair!r} uses an undeclared vertex")
@@ -63,7 +67,7 @@ class LineConfig:
                 raise InvariantError(f"vertex {v!r} lies on no line")
 
         generators = []
-        for k, gen in enumerate(action):
+        for k, gen in enumerate(self.action):
             gen = dict(gen)
             if set(gen) != set(vertices) or set(gen.values()) != set(vertices):
                 raise InvariantError(f"generator #{k} is not a permutation of the vertices")
@@ -80,9 +84,6 @@ class LineConfig:
         object.__setattr__(self, "edges", tuple(normalized))
         object.__setattr__(self, "action", tuple(generators))
         object.__setattr__(self, "_position", position)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LineConfig is immutable")
 
     @staticmethod
     def _order_pair(position, u, v):

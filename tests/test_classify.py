@@ -2,12 +2,16 @@
 
 Soundness is checked against the worked index-5 case, and every emitted
 profile is re-validated independently against the constraint operations it
-is supposed to satisfy.
+is supposed to satisfy.  The three-branch enumerator that
+``enumerate_profiles`` replaced is kept here as a differential oracle.
 """
 
 import pytest
 
 from sbcurves import (
+    CLASSIFICATION,
+    EXTRAPOLATION,
+    FILTERED,
     AlgebraInvariants,
     Narrative,
     NumPoly,
@@ -19,6 +23,7 @@ from sbcurves import (
     euler_admissible,
     h1_upper_bound,
     hilb_nonempty,
+    is_prime,
     min_curve_degree,
     ngon,
     point_degree_admissible,
@@ -27,6 +32,8 @@ from sbcurves import (
     standard_embedding,
     twist_cohomology,
 )
+from sbcurves import classify
+from sbcurves.classify import _integral_shapes, _point_multisets, _reducible_shapes
 
 
 def division(n, exponent=None):
@@ -181,3 +188,132 @@ class TestReducibleCase:
                 graph_rep.h1,
             )
             assert (profile.h0, profile.h1) == (cohom_rep.h0, cohom_rep.h1)
+
+
+def _integral_branch(n, d, r, s, divisor, provenance):
+    profiles = []
+    for h1 in _integral_shapes(n, d, r, divisor):
+        smooth = h1 == 1
+        for points in _point_multisets(s - (1 - h1), n):
+            if smooth:
+                narrative = (
+                    Narrative.WITH_RESIDUAL_POINT if points else Narrative.SMOOTH_GENUS_ONE
+                )
+            else:
+                narrative = Narrative.SINGULAR_INTEGRAL
+            profiles.append(
+                SubschemeProfile(
+                    curve_degree=r,
+                    h0=1,
+                    h1=h1,
+                    geom_connected=True,
+                    geom_reduced=True,
+                    geom_irreducible=True,
+                    extra_point_degrees=points,
+                    narrative=narrative,
+                    provenance=provenance,
+                )
+            )
+    return profiles
+
+
+def _reducible_branch(n, r, s, divisor, settled):
+    if settled:
+        return [reducible_case(n)]
+    return [
+        SubschemeProfile(
+            curve_degree=r,
+            h0=h0,
+            h1=h1,
+            geom_connected=h0 == 1,
+            geom_reduced=True,
+            geom_irreducible=False,
+            extra_point_degrees=points,
+            narrative=Narrative.REDUCIBLE_CURVE,
+            provenance=FILTERED,
+        )
+        for (h0, h1) in _reducible_shapes(r, divisor)
+        for points in _point_multisets(s - (h0 - h1), n)
+    ]
+
+
+def _nonreduced_branch(n, d, r, s, divisor, settled, provenance):
+    shapes = [(1, h1, True) for h1 in _integral_shapes(n, d, r, divisor)]
+    if settled:
+        shapes.append((1, 1, False))
+    else:
+        shapes.extend(
+            (h0_red, h1, False) for h0_red, h1 in _reducible_shapes(r, divisor)
+        )
+
+    profiles = {}
+    for h0_red, h1, irreducible in shapes:
+        for h0 in range(h0_red + 1, s + h1 + 1):
+            if (h0 - h1) % divisor:
+                continue
+            for points in _point_multisets(s - (h0 - h1), n):
+                profile = SubschemeProfile(
+                    curve_degree=r,
+                    h0=h0,
+                    h1=h1,
+                    geom_connected=h0_red == 1,
+                    geom_reduced=False,
+                    geom_irreducible=irreducible,
+                    extra_point_degrees=points,
+                    narrative=Narrative.NON_REDUCED_CURVE,
+                    provenance=provenance,
+                )
+                profiles.setdefault(profile, None)
+    return list(profiles)
+
+
+def branch_enumerate(n, poly):
+    """The per-branch enumerator: each branch builds its own profiles and
+    partitions its own point totals, and nonreduced profiles are deduplicated
+    by hashing.  Takes an index and a polynomial that pass the preconditions."""
+    d, r, s = n, poly.r, poly.s
+    divisor = min_curve_degree(n)
+    if not euler_admissible(s, n):
+        return []
+    settled = n % 2 == 1 and is_prime(n) and s == 0
+    reduced_provenance = CLASSIFICATION if settled else FILTERED
+    if settled:
+        nonreduced_provenance = CLASSIFICATION if n == 5 else EXTRAPOLATION
+    else:
+        nonreduced_provenance = FILTERED
+    profiles = []
+    profiles += _integral_branch(n, d, r, s, divisor, reduced_provenance)
+    profiles += _reducible_branch(n, r, s, divisor, settled)
+    profiles += _nonreduced_branch(n, d, r, s, divisor, settled, nonreduced_provenance)
+    return sorted(profiles, key=SubschemeProfile.sort_key)
+
+
+class TestAgainstBranchEnumerator:
+    @staticmethod
+    def grid():
+        for n in range(3, 17):
+            r = min_curve_degree(n)
+            for s in range(-5, 61):
+                if hilb_nonempty(NumPoly(r, s)):
+                    yield n, NumPoly(r, s)
+        yield 8, NumPoly(4, 156)
+
+    def test_same_profiles_in_the_same_order(self):
+        for n, poly in self.grid():
+            # equal lists: same profiles, and ties in sort_key broken the same way
+            assert enumerate_profiles(division(n), poly) == branch_enumerate(n, poly), (n, poly)
+
+    def test_points_partitioned_once_per_total(self, monkeypatch):
+        top_level_calls = 0
+        partitions = classify._partitions
+
+        def counting(k, cap=None):
+            nonlocal top_level_calls
+            if cap is None:
+                top_level_calls += 1
+            return partitions(k, cap)
+
+        monkeypatch.setattr(classify, "_partitions", counting)
+        profiles = enumerate_profiles(division(8), NumPoly(4, 156))
+        totals = {sum(p.extra_point_degrees) for p in profiles if p.extra_point_degrees}
+        assert 0 < top_level_calls <= len(totals)

@@ -224,6 +224,12 @@ class TestValidation:
         with pytest.raises(AttributeError):
             config.vertices = ()
 
+    def test_identity_equality(self):
+        # equal graphs are distinct configurations, and each hashes by identity
+        first, second = ngon(3), ngon(3)
+        assert first == first and first != second
+        assert len({first, second}) == 2
+
 
 class TestPgonRecognition:
     def test_ngons_pass_for_odd_primes(self):
