@@ -18,10 +18,11 @@ parse error, 4 invariant violation, 5 unsatisfiable preconditions.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 
 from .classify import enumerate_profiles
 from .cohomology import smoothing_hypotheses, standard_embedding, twist_cohomology
@@ -45,9 +46,58 @@ class UsageError(ValueError):
     """Arguments argparse accepts but the query cannot use."""
 
 
+# Both renderers work a column at a time: every document is a few fields
+# around lists of records that share their keys (profiles, cohomology rows),
+# so each column is converted in one pass and each record is one format call.
+
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+
+def _json_column(values, nl: str) -> list:
+    """Each of ``values`` as indent-2 JSON, for values that sit on lines starting ``nl``."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in _JSON_SCALARS:
+        return list(map(_JSON_SCALARS[kind], values))
+    inner = nl + "  "
+    if kind is list:
+        # every list's items in one column, dealt back out by length
+        items = iter(_json_column(list(chain.from_iterable(values)), inner))
+        comma = "," + inner
+        return [f"[{inner}{comma.join(islice(items, len(v)))}{nl}]" if v else "[]" for v in values]
+    keys = tuple(values[0]) if kind is dict else ()
+    if keys and all(map(keys.__eq__, map(tuple, values))):
+        fields = ("," + inner).join(
+            encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
+        )
+        columns = [_json_column(column, inner) for column in zip(*map(dict.values, values))]
+        return [f"{{{inner}{fields}{nl}}}" % row for row in zip(*columns)]
+    return [_json(value, nl) for value in values]
+
+
+def _json(value, nl: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for values built of dict, list, str, int, bool and None."""
+    kind = type(value)
+    if kind in _JSON_SCALARS:
+        return _JSON_SCALARS[kind](value)
+    if kind is list or (kind is dict and value):
+        return _json_column([value], nl)[0]
+    if kind is dict:
+        return "{}"
+    raise TypeError(f"{kind.__name__} has no place in a JSON document")
+
+
+_YES_NO = {False: "no", True: "yes"}
+
+
 def _cell(value) -> str:
     if isinstance(value, bool):
-        return "yes" if value else "no"
+        return _YES_NO[value]
     if value is None:
         return "-"
     if isinstance(value, list):
@@ -55,21 +105,27 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _cells(values) -> list:
+    kinds = set(map(type, values))
+    if kinds <= {int, str}:
+        return list(map(str, values))
+    if kinds == {bool}:
+        return list(map(_YES_NO.__getitem__, values))
+    if kinds == {list}:
+        return ["+".join(map(str, value)) or "-" for value in values]
+    return list(map(_cell, values))
+
+
 def _grid(rows, headers=None) -> str:
     """Left-aligned columns under a dashed rule; the headers default to the row keys."""
     headers = list(headers or rows[0])
-    cells = [[_cell(v) for v in row.values()] for row in rows]
-    widths = [
-        max([len(headers[i])] + [len(row[i]) for row in cells])
-        for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
-        "  ".join("-" * w for w in widths).rstrip(),
-    ]
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+    columns = [_cells(column) for column in zip(*map(dict.values, rows))]
+    widths = [max(len(header), *map(len, column)) for header, column in zip(headers, columns)]
+    line = "  ".join("{:<%d}" % width for width in widths).format
+    return "\n".join(
+        [line(*headers).rstrip(), "  ".join("-" * width for width in widths).rstrip()]
+        + [line(*row).rstrip() for row in zip(*columns)]
+    )
 
 
 _FEASIBLE_HEADERS = (
@@ -235,7 +291,7 @@ def run(args: argparse.Namespace):
     except PreconditionError as exc:
         return EXIT_PRECONDITION, f"error: {exc}"
     if fmt == "json":
-        return EXIT_OK, json.dumps(doc, indent=2)
+        return EXIT_OK, _json(doc)
     return EXIT_OK, render_table(doc)
 
 

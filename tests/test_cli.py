@@ -13,15 +13,22 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import sbcurves.cli
 import sbcurves.cohomology
+from sbcurves.classify import Narrative
 from sbcurves.cli import (
+    _FEASIBLE_HEADERS,
+    _HANDLERS,
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
     EXIT_USAGE,
+    _grid,
+    _json,
     build_parser,
     main,
+    render_table,
     run,
 )
 
@@ -721,6 +728,39 @@ GOLDEN = {
 }
 
 
+# A file name with a non-ASCII letter, a quote and a backslash: the "path"
+# field must come out ASCII-escaped, as json.dumps writes it.
+ESCAPED_PATH = 'trié "q" \\.cfg'
+
+ESCAPED_PATH_JSON = {
+    "check-config": r"""{
+  "schema_version": 1,
+  "command": "check-config",
+  "path": "tri\u00e9 \"q\" \\.cfg",
+  "vertices": 3,
+  "edges": 3,
+  "generators": 1,
+  "embedded": false,
+  "ambient_dim": null
+}
+""",
+    "classify": r"""{
+  "schema_version": 1,
+  "command": "classify",
+  "path": "tri\u00e9 \"q\" \\.cfg",
+  "report": {
+    "degree": 3,
+    "h0": 1,
+    "h1": 1,
+    "edge_transitive": true,
+    "vertex_single_orbit": true
+  },
+  "pgon_parameter": 3,
+  "is_pgon": true
+}
+""",
+}
+
 class TestByteExactOutput:
     @pytest.fixture(autouse=True)
     def config_dir(self, tmp_path, monkeypatch):
@@ -753,6 +793,22 @@ class TestByteExactOutput:
         fenced = re.search(r"```\n(narrative .*?)```", README.read_text(encoding="utf-8"), re.S)
         out = self.stdout_of(FEASIBLE_DEG5, capsys)
         assert out.split("\n\n", 1)[1] == fenced.group(1)
+
+    def test_readme_json_is_the_start_of_the_cli_json(self, capsys):
+        fenced = re.search(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        shown, elision = fenced.group(1).rsplit("\n", 2)[:2]
+        assert elision.strip() == "..."
+        out = self.stdout_of(FEASIBLE_DEG5 + ["--format", "json"], capsys)
+        lines = shown.splitlines()
+        assert len(lines) > 20
+        assert out.splitlines()[: len(lines)] == lines
+
+    @pytest.mark.parametrize("command", ESCAPED_PATH_JSON)
+    def test_quoted_non_ascii_path_is_escaped(self, command, capsys):
+        Path(ESCAPED_PATH).write_text(TRIANGLE, encoding="utf-8")
+        out = self.stdout_of([command, ESCAPED_PATH, "--format", "json"], capsys)
+        assert out == ESCAPED_PATH_JSON[command]
+        assert json.loads(out)["path"] == ESCAPED_PATH
 
 
 # The exit-code contract over argv drawn from the CLI grammar.  Sizes are
@@ -860,3 +916,183 @@ def test_every_argv_maps_to_a_contract_exit_status(config_dir, argv, env_format)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             status = main(argv)
     assert status in {EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_INVARIANT, EXIT_PRECONDITION}
+
+
+# The renderers against their references: json.dumps(indent=2) for the JSON
+# writer, and the cell-by-cell table below for the columnar _grid.
+
+
+def _oracle_cell(value) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if value is None:
+        return "-"
+    if isinstance(value, list):
+        return "+".join(map(str, value)) or "-"
+    return str(value)
+
+
+def _oracle_grid(rows, headers=None) -> str:
+    headers = list(headers or rows[0])
+    cells = [[_oracle_cell(v) for v in row.values()] for row in rows]
+    widths = [
+        max([len(headers[i])] + [len(row[i]) for row in cells])
+        for i in range(len(headers))
+    ]
+    lines = [
+        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
+        "  ".join("-" * w for w in widths).rstrip(),
+    ]
+    for row in cells:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    return "\n".join(lines)
+
+
+def first_difference(got, want):
+    """None for equal texts, else the first differing line (cheap to report for megabytes)."""
+    if got == want:
+        return None
+    pairs = zip(got.splitlines() + [None], want.splitlines() + [None])
+    return next((i, g, w) for i, (g, w) in enumerate(pairs) if g != w)
+
+
+def document(argv):
+    args = build_parser().parse_args(argv)
+    return _HANDLERS[args.command](args)
+
+
+def feasible_query(n, m, r, s):
+    return ["feasible", "--degree", str(n), "--index", str(n), "--exponent", str(m),
+            "--division", "--poly", f"{r},{s}"]
+
+
+# (index, exponent, r, s): from the paper's 5t to the 10,435 profiles of
+# (8, 4t+156), with an empty list at 5t+1 and the even index 4
+FEASIBLE_DOCS = [
+    (5, 5, 5, 0), (5, 5, 5, 1), (5, 5, 5, 65), (7, 7, 7, 77),
+    (8, 4, 4, 156), (15, 15, 15, 60), (4, 2, 2, 2),
+]
+
+ONE_ROW_DOCS = {
+    "family-ngon": ["family", "ngon", "5", "--cohomology", "0,1,2", "--smoothing"],
+    "family-disjoint": ["family", "disjoint-lines"],
+    "family-cube": ["family", "cube", "3", "--cohomology", "0", "--embed-dim", "10"],
+    "classify": ["classify", "pentagon.cfg", "--pgon", "7"],
+    "cohomology": ["cohomology", "pentagon.cfg", "--twist", "0,1,2,1000"],
+    "check-config-plain": ["check-config", "triangle.cfg"],
+    "check-config-embedded": ["check-config", "pentagon.cfg"],
+}
+
+
+@pytest.fixture(scope="module")
+def feasible_docs():
+    return {key: document(feasible_query(*key)) for key in FEASIBLE_DOCS}
+
+
+@pytest.fixture
+def in_config_dir(tmp_path, monkeypatch):
+    (tmp_path / "pentagon.cfg").write_text(PENTAGON, encoding="utf-8")
+    (tmp_path / "triangle.cfg").write_text(TRIANGLE, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+
+# Strings with everything the ASCII escaper must handle: non-ASCII, quote,
+# backslash, control characters, lone surrogates, and "%" (the record
+# template is a %-format string).
+json_text = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\%\x00\x1f\x7f\udcff\ud800é\u2028😀'),
+    max_size=8,
+)
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**70), 2**70) | json_text
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(json_text, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@st.composite
+def record_lists(draw):
+    """Lists of dicts that share their keys in order, each column drawn from one strategy."""
+    keys = draw(st.lists(json_text, min_size=1, max_size=4, unique=True))
+    column = st.sampled_from([
+        st.integers(), st.booleans(), json_text, st.none() | st.integers(),
+        st.booleans() | st.integers(0, 1), st.lists(st.integers(), max_size=3), json_values,
+    ])
+    fields = {key: draw(column) for key in keys}
+    return draw(st.lists(st.fixed_dictionaries(fields), min_size=1, max_size=6))
+
+
+class TestJsonWriter:
+    @settings(max_examples=250, deadline=None)
+    @given(value=json_values)
+    def test_recursive_values(self, value):
+        assert _json(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=record_lists(), nest=st.booleans())
+    def test_record_lists(self, records, nest):
+        value = {"rows": records, "nested": [{"rows": records}]} if nest else records
+        assert _json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [{"a": True}, {"a": 1}, {"a": 0}, {"a": False}],
+        [{"a": None}, {"a": 3}, {"a": -4}],
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+        [{"a": 1, "b": 2}, {"a": 1}, {"a": 1, "b": 2, "c": 3}],
+        [{"a": 1}, {"b": 1}],
+        [{}, {}, {"a": {}}],
+        [{"a": [], "b": {}}, {"a": [[]], "b": {"c": []}}],
+        [{"%s": 1, "%": "%d", "%%": [1, True, None]}],
+        [{"rows": [{"x": 1, "y": [2, 3]}, {"x": 4, "y": []}]}, {"rows": [{"y": [], "x": 5}]}],
+        [[1, True], [None, "é"], [], [[{"k": 1}], {"k": 2}]],
+        [True, 1, False, 0, None, "1", [1], {"1": 1}],
+        [2**64, -(2**64) - 1, 0, -1],
+    ])
+    def test_record_edge_cases(self, value):
+        assert _json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("case", GOLDEN)
+    def test_golden_documents(self, case):
+        doc = json.loads(GOLDEN[case][2])
+        assert _json(doc) == json.dumps(doc, indent=2) == GOLDEN[case][2].rstrip("\n")
+
+    @pytest.mark.parametrize("key", FEASIBLE_DOCS)
+    def test_feasible_documents(self, feasible_docs, key):
+        doc = feasible_docs[key]
+        assert first_difference(_json(doc), json.dumps(doc, indent=2)) is None
+
+    @pytest.mark.parametrize("value", [
+        1.5, (1,), Narrative.SMOOTH_GENUS_ONE,
+        {"narrative": Narrative.PGON_OF_LINES}, [{"x": 1}, {"x": 0.5}], [[(1,)]], {1: 2},
+    ])
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            _json(value)
+
+
+class TestColumnarGrid:
+    @pytest.mark.parametrize("key", [k for k in FEASIBLE_DOCS if k[3] != 1])
+    def test_feasible_tables(self, feasible_docs, key):
+        profiles = feasible_docs[key]["profiles"]
+        table = _grid(profiles, _FEASIBLE_HEADERS)
+        assert first_difference(table, _oracle_grid(profiles, _FEASIBLE_HEADERS)) is None
+
+    @pytest.mark.parametrize("case", ONE_ROW_DOCS)
+    def test_one_row_tables(self, case, in_config_dir, monkeypatch):
+        doc = document(ONE_ROW_DOCS[case])
+        table = render_table(doc)
+        monkeypatch.setattr(sbcurves.cli, "_grid", _oracle_grid)
+        assert table == render_table(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=record_lists())
+    def test_drawn_rows(self, rows):
+        assert _grid(rows) == _oracle_grid(rows)
+
+    def test_mixed_columns(self):
+        rows = [{"a": None, "b": 1, "c": []}, {"a": 12, "b": True, "c": [1, 2]}, {"a": 3, "b": "x", "c": None}]
+        assert _grid(rows) == _oracle_grid(rows)
+        assert _grid(rows, ["", "b", "c"]) == _oracle_grid(rows, ["", "b", "c"])
