@@ -5,92 +5,71 @@ variety with given invariants can carry, enumerates their admissible
 numerical profiles, and constructs and analyzes the Galois-stable line
 configurations that witness the minimal-degree cases.  All computation is
 exact (integers and rationals); there is no floating point anywhere.
+
+The public names are imported from their modules on first access (PEP 562),
+so ``import sbcurves`` and a CLI run load only the modules they use.
 """
 
-from .classify import (
-    CLASSIFICATION,
-    EXTRAPOLATION,
-    FILTERED,
-    Narrative,
-    SubschemeProfile,
-    enumerate_profiles,
-    reducible_case,
-)
-from .cohomology import (
-    CohomReport,
-    EmbeddedConfig,
-    SmoothingReport,
-    smoothing_hypotheses,
-    standard_embedding,
-    twist_cohomology,
-)
-from .configfile import ParsedConfig, load_config, parse_config_text
-from .constraints import (
-    AlgebraInvariants,
-    CastelnuovoBound,
-    castelnuovo,
-    degree_admissible,
-    euler_admissible,
-    is_prime,
-    min_curve_degree,
-    normal_bundle_euler,
-    point_degree_admissible,
-)
-from .errors import ConfigParseError, InvariantError, PreconditionError
-from .lineconfig import (
-    ConfigReport,
-    LineConfig,
-    complete,
-    cube,
-    disjoint_lines,
-    is_pgon,
-    ngon,
-    report,
-)
-from .numpoly import BinomialDecomposition, NumPoly, decompose, h1_upper_bound, hilb_nonempty
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraInvariants",
-    "BinomialDecomposition",
-    "CLASSIFICATION",
-    "CastelnuovoBound",
-    "CohomReport",
-    "ConfigParseError",
-    "ConfigReport",
-    "EXTRAPOLATION",
-    "EmbeddedConfig",
-    "FILTERED",
-    "InvariantError",
-    "LineConfig",
-    "Narrative",
-    "NumPoly",
-    "ParsedConfig",
-    "PreconditionError",
-    "SmoothingReport",
-    "SubschemeProfile",
-    "castelnuovo",
-    "complete",
-    "cube",
-    "decompose",
-    "degree_admissible",
-    "disjoint_lines",
-    "enumerate_profiles",
-    "euler_admissible",
-    "h1_upper_bound",
-    "hilb_nonempty",
-    "is_pgon",
-    "is_prime",
-    "load_config",
-    "min_curve_degree",
-    "ngon",
-    "normal_bundle_euler",
-    "parse_config_text",
-    "point_degree_admissible",
-    "reducible_case",
-    "report",
-    "smoothing_hypotheses",
-    "standard_embedding",
-    "twist_cohomology",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "classify": (
+        "CLASSIFICATION",
+        "EXTRAPOLATION",
+        "FILTERED",
+        "Narrative",
+        "SubschemeProfile",
+        "enumerate_profiles",
+        "reducible_case",
+    ),
+    "cohomology": (
+        "CohomReport",
+        "EmbeddedConfig",
+        "SmoothingReport",
+        "smoothing_hypotheses",
+        "standard_embedding",
+        "twist_cohomology",
+    ),
+    "configfile": ("ParsedConfig", "load_config", "parse_config_text"),
+    "constraints": (
+        "AlgebraInvariants",
+        "CastelnuovoBound",
+        "castelnuovo",
+        "degree_admissible",
+        "euler_admissible",
+        "is_prime",
+        "min_curve_degree",
+        "normal_bundle_euler",
+        "point_degree_admissible",
+    ),
+    "errors": ("ConfigParseError", "InvariantError", "PreconditionError"),
+    "lineconfig": (
+        "ConfigReport",
+        "LineConfig",
+        "complete",
+        "cube",
+        "disjoint_lines",
+        "is_pgon",
+        "ngon",
+        "report",
+    ),
+    "numpoly": ("BinomialDecomposition", "NumPoly", "decompose", "h1_upper_bound", "hilb_nonempty"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -145,9 +145,12 @@ def reducible_case(n: int) -> SubschemeProfile:
 def _integral_shapes(n, d, r, divisor):
     """(h0=1, h1) shapes of a geometrically integral reduced curve.
 
-    Such a curve has h0 = 1 and geometric genus between 1 and the
-    Castelnuovo bound: genus 0 would make the normalization a conic, whose
-    degree <= 2 point cannot exist on a division variety with d > 2.
+    Such a curve has h0 = 1 and h1 = p_a >= 1: genus 0 would make the
+    normalization a conic, whose degree <= 2 point cannot exist on a
+    division variety with d > 2.  Castelnuovo's bound limits the arithmetic
+    genus of an integral nondegenerate curve as well as its geometric genus,
+    but it is applied here only as a gate: no shape is listed when the bound
+    is below 1, and otherwise h1 runs up to the Hartshorne bound.
     Arithmetic genus 1 forces the curve to be smooth, which in turn forces
     degree n; larger h1, congruent to 1 modulo the Euler divisor and within
     the Hartshorne bound, belongs to singular curves.

@@ -13,6 +13,11 @@ Each subcommand builds one JSON document, with a stable field order and a
 alone, so the two formats cannot drift apart (the ``SBCURVES_FORMAT``
 environment variable sets the default).  Exit status: 0 ok, 2 usage, 3 file
 parse error, 4 invariant violation, 5 unsatisfiable preconditions.
+
+Each handler imports the layers it runs when it runs, so a one-shot
+``python -m sbcurves`` loads only those: ``feasible`` never loads the
+coordinate and file layers, and ``family`` loads ``cohomology`` only for
+``--cohomology`` or ``--smoothing``.
 """
 
 from __future__ import annotations
@@ -24,13 +29,8 @@ from dataclasses import asdict
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
-from .classify import enumerate_profiles
-from .cohomology import smoothing_hypotheses, standard_embedding, twist_cohomology
-from .configfile import load_config
-from .constraints import AlgebraInvariants
 from .errors import ConfigParseError, InvariantError, PreconditionError
 from .lineconfig import complete, cube, disjoint_lines, is_pgon, ngon, report
-from .numpoly import NumPoly
 
 SCHEMA_VERSION = 1
 FORMAT_ENV = "SBCURVES_FORMAT"
@@ -138,6 +138,8 @@ def render_table(doc: dict) -> str:
     """The table form of a subcommand's JSON document, read from the document alone."""
     command = doc["command"]
     if command == "feasible":
+        from .numpoly import NumPoly
+
         poly, index = NumPoly(**doc["poly"]), doc["algebra"]["index"]
         summary = f"{doc['profile_count']} admissible profile(s) for {poly} at index {index}"
         if not doc["profiles"]:
@@ -176,6 +178,10 @@ def _profile_doc(profile) -> dict:
 
 
 def _cmd_feasible(args) -> dict:
+    from .classify import enumerate_profiles
+    from .constraints import AlgebraInvariants
+    from .numpoly import NumPoly
+
     d, n, m, division = args.degree, args.index, args.exponent, args.division
     r, s = args.poly
     alg = AlgebraInvariants(d=d, n=n, m=m, is_division=division)
@@ -213,17 +219,39 @@ def _cmd_family(args) -> dict:
         "report": asdict(report(config)),
     }
     if args.cohomology or args.smoothing:
+        from .cohomology import smoothing_hypotheses, standard_embedding
+
         dim = args.embed_dim if args.embed_dim is not None else len(config.vertices)
         embedded = standard_embedding(config, dim)
         doc["embedding"] = {"method": "standard", "ambient_dim": dim}
         if args.cohomology:
-            doc["cohomology"] = [asdict(twist_cohomology(embedded, m)) for m in args.cohomology]
+            doc["cohomology"] = _twist_rows(embedded, args.cohomology)
         if args.smoothing:
             doc["smoothing"] = asdict(smoothing_hypotheses(embedded))
     return doc
 
 
+def _twist_rows(embedded, twists) -> list:
+    """The cohomology rows of ``twists``, refused if an h0 has too many digits to print."""
+    from .cohomology import twist_cohomology
+
+    rows = [asdict(twist_cohomology(embedded, m)) for m in twists]
+    # h0 is the row's largest number; before Python 3.10.7 there is no limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    for row in rows:
+        h0 = row["h0"]
+        # 10**limit has more than 3 * limit bits, so a shorter h0 needs no power
+        if limit and h0.bit_length() > 3 * limit and h0 >= 10**limit:
+            raise PreconditionError(
+                f"a twist of {len(str(row['m']))} digits gives an h0 of more than "
+                f"{limit} digits, too many to print"
+            )
+    return rows
+
+
 def _cmd_classify(args) -> dict:
+    from .configfile import load_config
+
     config = load_config(args.config).config
     rep = report(config)
     p = args.pgon if args.pgon is not None else rep.degree
@@ -238,6 +266,8 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_cohomology(args) -> dict:
+    from .configfile import load_config
+
     embedded = load_config(args.config).embedded
     if embedded is None:
         raise PreconditionError(
@@ -248,11 +278,13 @@ def _cmd_cohomology(args) -> dict:
         "command": "cohomology",
         "path": args.config,
         "ambient_dim": embedded.ambient_dim,
-        "cohomology": [asdict(twist_cohomology(embedded, m)) for m in args.twist],
+        "cohomology": _twist_rows(embedded, args.twist),
     }
 
 
 def _cmd_check_config(args) -> dict:
+    from .configfile import load_config
+
     parsed = load_config(args.config)
     return {
         "schema_version": SCHEMA_VERSION,

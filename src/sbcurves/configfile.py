@@ -61,6 +61,9 @@ def _parse_fraction(token, lineno):
         return Fraction(token)
     except ZeroDivisionError:
         _fail(lineno, f"fraction {token!r} has a zero denominator")
+    except ValueError:
+        # the token is well formed, so only the interpreter's digit limit is left
+        _fail(lineno, f"a coordinate of {len(token)} characters has too many digits to convert")
 
 
 def _parse_vertex_line(line, lineno):

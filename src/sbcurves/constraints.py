@@ -27,9 +27,11 @@ def _check_positive_int(name, value):
 class AlgebraInvariants:
     """Degree, index and exponent of a central simple algebra.
 
-    Validates the standard relations at construction: n | d, m | n, and
-    d > 2 (the associated variety must not itself be a curve).  A division
-    algebra has index equal to its degree.
+    Validates the standard relations at construction: n | d, m | n, m and
+    n have the same prime factors (Brauer; Gille-Szamuely, "Central Simple
+    Algebras and Galois Cohomology", 4.5), and d > 2 (the associated variety
+    must not itself be a curve).  A division algebra has index equal to its
+    degree.
     """
 
     d: int
@@ -47,6 +49,11 @@ class AlgebraInvariants:
             raise InvariantError(f"index {self.n} does not divide degree {self.d}")
         if self.n % self.m:
             raise InvariantError(f"exponent {self.m} does not divide index {self.n}")
+        # n | m**k for k >= every exponent in n, i.e. each prime of n divides m
+        if pow(self.m, self.n.bit_length(), self.n):
+            raise InvariantError(
+                f"exponent {self.m} and index {self.n} must have the same prime factors"
+            )
         if self.is_division and self.n != self.d:
             raise InvariantError(
                 f"a division algebra has index equal to degree, got n={self.n}, d={self.d}"
@@ -118,9 +125,14 @@ def point_degree_admissible(deg: int, n: int) -> bool:
 def castelnuovo(deg: int, d: int) -> CastelnuovoBound:
     """Genus bound for a geometrically integral nondegenerate curve of the given degree.
 
-    With deg - 1 = q(d-2) + rem, 0 <= rem < d-2, the geometric genus is at
-    most (d-2)q(q-1)/2 + q*rem.  The ambient projective space has dimension
-    d - 1, so d >= 3 is required.
+    With deg - 1 = q(d-2) + rem, 0 <= rem < d-2, the genus is at most
+    (d-2)q(q-1)/2 + q*rem.  The bound limits the arithmetic genus of an
+    integral nondegenerate curve too, not only its geometric genus: the proof
+    bounds the growth of h^0(O_C(l)) by a general hyperplane section, and
+    chi(O_C(l)) carries p_a (Harris, "Curves in projective space", Montreal
+    1982, ch. 3).  The engine applies it only as a gate (see
+    ``classify._integral_shapes``).  The ambient projective space has
+    dimension d - 1, so d >= 3 is required.
     """
     _check_positive_int("deg", deg)
     if isinstance(d, bool) or not isinstance(d, int) or d < 3:

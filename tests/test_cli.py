@@ -141,6 +141,14 @@ class TestFeasible:
         assert status == EXIT_INVARIANT
         assert "exponent" in text
 
+    def test_exponent_without_every_prime_of_the_index_is_invariant_failure(self):
+        status, text = invoke(
+            ["feasible", "--degree", "5", "--index", "5", "--exponent", "1",
+             "--division", "--poly", "5,0"]
+        )
+        assert status == EXIT_INVARIANT
+        assert text == "error: exponent 1 and index 5 must have the same prime factors"
+
     def test_wrong_leading_coefficient(self):
         status, _ = invoke(
             ["feasible", "--degree", "5", "--index", "5", "--exponent", "5",
@@ -200,6 +208,23 @@ class TestFamily:
         rep = json.loads(text)["cohomology"][0]
         assert (rep["h0"], rep["h1"]) == (5 * 10**12, 0)
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_twist_too_long_to_print_is_refused(self, fmt):
+        digits = sys.get_int_max_str_digits()
+        # h0 = 5m has one digit more than m = 99...9, the longest twist argparse reads
+        status, text = invoke(["family", "ngon", "5", "--cohomology", "9" * digits,
+                               "--format", fmt])
+        assert status == EXIT_PRECONDITION
+        assert text == (f"error: a twist of {digits} digits gives an h0 of more than "
+                        f"{digits} digits, too many to print")
+
+    def test_longest_printable_twist_is_answered(self):
+        digits = sys.get_int_max_str_digits()
+        twist = "1" + "0" * (digits - 1)
+        status, text = invoke(["family", "ngon", "5", "--cohomology", twist, "--format", "json"])
+        assert status == EXIT_OK
+        assert json.loads(text)["cohomology"][0]["h0"] == 5 * 10 ** (digits - 1)
+
 
 class TestConfigCommands:
     @pytest.fixture
@@ -257,6 +282,21 @@ class TestConfigCommands:
         assert doc_status == EXIT_OK
         doc = json.loads(doc_text)
         assert [row["h1"] for row in doc["cohomology"]] == [1, 0, 0]
+
+    def test_cohomology_twist_too_long_to_print_is_refused(self, pentagon_path):
+        status, text = invoke(["cohomology", pentagon_path, "--twist",
+                               "1," + "9" * sys.get_int_max_str_digits()])
+        assert status == EXIT_PRECONDITION
+        assert "too many to print" in text and "\n" not in text
+
+    def test_coordinate_too_long_to_convert_is_parse_error(self, tmp_path):
+        digits = sys.get_int_max_str_digits() + 1
+        path = tmp_path / "huge.cfg"
+        path.write_text(f"[vertices]\na: 1, 0, 0\nb: 0, {'9' * digits}, 0\n[edges]\na b\n")
+        status, text = invoke(["check-config", str(path)])
+        assert status == EXIT_PARSE
+        assert text == (f"error: line 3: a coordinate of {digits} characters "
+                        "has too many digits to convert")
 
     def test_cohomology_needs_embedding(self, tmp_path):
         path = tmp_path / "abstract.cfg"
@@ -840,7 +880,8 @@ twist_text = mostly(
 def algebra_values(draw):
     """A (degree, index, exponent) triple that passes validation."""
     n = draw(st.integers(1, 10))
-    m = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+    # m | n, and n | m**n exactly when every prime of n divides m
+    m = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0 and k**n % n == 0]))
     return n * draw(st.integers(1, 2)), n, m
 
 

@@ -93,6 +93,12 @@ class TestParseErrors:
         with pytest.raises(ConfigParseError, match="denominator"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("token", ["9" * 5000, "1/" + "7" * 5000])
+    def test_coordinate_past_the_digit_limit_rejected(self, token):
+        text = f"[vertices]\na: 1, 0, 0\nb: 0, {token}, 0\n[edges]\na b\n"
+        with pytest.raises(ConfigParseError, match="^line 3: .* too many digits"):
+            parse_config_text(text)
+
     def test_unknown_section(self):
         with pytest.raises(ConfigParseError, match="unknown section"):
             parse_config_text("[points]\na\n")

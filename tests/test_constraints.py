@@ -76,6 +76,27 @@ class TestAlgebraInvariants:
         with pytest.raises(InvariantError):
             AlgebraInvariants(6, 6, 4)
 
+    @pytest.mark.parametrize("n,m", [(5, 1), (6, 2), (12, 2), (12, 3), (30, 15)])
+    def test_rejects_exponent_missing_a_prime_of_the_index(self, n, m):
+        with pytest.raises(InvariantError, match="same prime factors"):
+            AlgebraInvariants(n, n, m, is_division=True)
+
+    def test_accepts_exponent_with_every_prime_of_the_index(self):
+        AlgebraInvariants(12, 12, 6, is_division=True)
+        AlgebraInvariants(8, 8, 2, is_division=True)
+        AlgebraInvariants(18, 9, 3)
+
+    def test_exponent_rule_matches_prime_factors(self):
+        for n in range(3, 80):
+            for m in (k for k in range(1, n + 1) if n % k == 0):
+                same = prime_factors(m) == prime_factors(n)
+                try:
+                    AlgebraInvariants(n, n, m)
+                except InvariantError:
+                    assert not same, (n, m)
+                else:
+                    assert same, (n, m)
+
     def test_rejects_small_degree(self):
         with pytest.raises(InvariantError):
             AlgebraInvariants(2, 2, 2, is_division=True)
