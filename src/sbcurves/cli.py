@@ -7,12 +7,14 @@ twist cohomology and smoothing-hypothesis checks), ``cohomology`` (twist
 cohomology of an embedded configuration file) and ``check-config``
 (validation only).
 
-Each subcommand builds one JSON document, with a stable field order and a
-``schema_version`` field.  ``--format json`` prints it; the default
-``--format table`` prints a deterministic table rendered from that document
-alone, so the two formats cannot drift apart (the ``SBCURVES_FORMAT``
-environment variable sets the default).  Exit status: 0 ok, 2 usage, 3 file
-parse error, 4 invariant violation, 5 unsatisfiable preconditions.
+Each subcommand builds one document, with a stable field order and a
+``schema_version`` field; ``feasible``'s lists its ``SubschemeProfile``
+objects themselves.  ``--format json`` prints it as ``json.dumps(indent=2)``
+would, each profile written as its fields; the default ``--format table``
+prints a deterministic table rendered from that document alone, so the two
+formats cannot drift apart (the ``SBCURVES_FORMAT`` environment variable
+sets the default).  Exit status: 0 ok, 2 usage, 3 file parse error,
+4 invariant violation, 5 unsatisfiable preconditions.
 
 Each handler imports the layers it runs when it runs, so a one-shot
 ``python -m sbcurves`` loads only those: ``feasible`` never loads the
@@ -26,8 +28,6 @@ import argparse
 import os
 import sys
 from dataclasses import asdict
-from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigParseError, InvariantError, PreconditionError
 from .lineconfig import complete, cube, disjoint_lines, is_pgon, ngon, report
@@ -46,50 +46,23 @@ class UsageError(ValueError):
     """Arguments argparse accepts but the query cannot use."""
 
 
-# Both renderers work a column at a time: every document is a few fields
-# around lists of records that share their keys (profiles, cohomology rows),
-# so each column is converted in one pass and each record is one format call.
-
-_JSON_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {False: "false", True: "true"}.__getitem__,
-    type(None): lambda value: "null",
-}
+# Every document but feasible's is a few fields under 1 KB, written by
+# json.dumps and a cell-by-cell table.  A feasible document holds its
+# profile objects, up to hundreds of thousands of them in a few curve
+# shapes: the table reads each column straight from their attributes, and
+# the JSON fills one template per curve shape.
 
 
-def _json_column(values, nl: str) -> list:
-    """Each of ``values`` as indent-2 JSON, for values that sit on lines starting ``nl``."""
-    kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind in _JSON_SCALARS:
-        return list(map(_JSON_SCALARS[kind], values))
-    inner = nl + "  "
-    if kind is list:
-        # every list's items in one column, dealt back out by length
-        items = iter(_json_column(list(chain.from_iterable(values)), inner))
-        comma = "," + inner
-        return [f"[{inner}{comma.join(islice(items, len(v)))}{nl}]" if v else "[]" for v in values]
-    keys = tuple(values[0]) if kind is dict else ()
-    if keys and all(map(keys.__eq__, map(tuple, values))):
-        fields = ("," + inner).join(
-            encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
-        )
-        columns = [_json_column(column, inner) for column in zip(*map(dict.values, values))]
-        return [f"{{{inner}{fields}{nl}}}" % row for row in zip(*columns)]
-    return [_json(value, nl) for value in values]
+class _Memo(dict):
+    """``function(key)`` for each key looked up, computed on first use."""
 
+    def __init__(self, function):
+        super().__init__()
+        self.function = function
 
-def _json(value, nl: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` for values built of dict, list, str, int, bool and None."""
-    kind = type(value)
-    if kind in _JSON_SCALARS:
-        return _JSON_SCALARS[kind](value)
-    if kind is list or (kind is dict and value):
-        return _json_column([value], nl)[0]
-    if kind is dict:
-        return "{}"
-    raise TypeError(f"{kind.__name__} has no place in a JSON document")
+    def __missing__(self, key):
+        self[key] = value = self.function(key)
+        return value
 
 
 _YES_NO = {False: "no", True: "yes"}
@@ -105,27 +78,20 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _cells(values) -> list:
-    kinds = set(map(type, values))
-    if kinds <= {int, str}:
-        return list(map(str, values))
-    if kinds == {bool}:
-        return list(map(_YES_NO.__getitem__, values))
-    if kinds == {list}:
-        return ["+".join(map(str, value)) or "-" for value in values]
-    return list(map(_cell, values))
+def _format_grid(headers, columns) -> str:
+    """Columns of cell strings, left-aligned under a dashed rule."""
+    widths = [max(len(header), *map(len, column)) for header, column in zip(headers, columns)]
+    line = "  ".join("%%-%ds" % width for width in widths)
+    return "\n".join(
+        [(line % headers).rstrip(), "  ".join("-" * width for width in widths).rstrip()]
+        + [(line % row).rstrip() for row in zip(*columns)]
+    )
 
 
 def _grid(rows, headers=None) -> str:
-    """Left-aligned columns under a dashed rule; the headers default to the row keys."""
-    headers = list(headers or rows[0])
-    columns = [_cells(column) for column in zip(*map(dict.values, rows))]
-    widths = [max(len(header), *map(len, column)) for header, column in zip(headers, columns)]
-    line = "  ".join("{:<%d}" % width for width in widths).format
-    return "\n".join(
-        [line(*headers).rstrip(), "  ".join("-" * width for width in widths).rstrip()]
-        + [line(*row).rstrip() for row in zip(*columns)]
-    )
+    """A table of a few records, cell by cell; the headers default to the row keys."""
+    columns = [list(map(_cell, column)) for column in zip(*map(dict.values, rows))]
+    return _format_grid(tuple(headers or rows[0]), columns)
 
 
 _FEASIBLE_HEADERS = (
@@ -134,8 +100,29 @@ _FEASIBLE_HEADERS = (
 )
 
 
+def _feasible_grid(profiles) -> str:
+    """The profile table, each column read straight from the profiles' attributes."""
+    from .classify import Narrative
+
+    names = {tag: tag.value for tag in Narrative}
+    points = _Memo(lambda degrees: "+".join(map(str, degrees)) or "-")
+    columns = [
+        [names[p.narrative] for p in profiles],
+        [str(p.curve_degree) for p in profiles],
+        [str(p.h0) for p in profiles],
+        [str(p.h1) for p in profiles],
+        [str(p.chi()) for p in profiles],
+        [_YES_NO[p.geom_connected] for p in profiles],
+        [_YES_NO[p.geom_reduced] for p in profiles],
+        [_YES_NO[p.geom_irreducible] for p in profiles],
+        [points[p.extra_point_degrees] for p in profiles],
+        [p.provenance for p in profiles],
+    ]
+    return _format_grid(_FEASIBLE_HEADERS, columns)
+
+
 def render_table(doc: dict) -> str:
-    """The table form of a subcommand's JSON document, read from the document alone."""
+    """The table form of a subcommand's document, read from the document alone."""
     command = doc["command"]
     if command == "feasible":
         from .numpoly import NumPoly
@@ -144,7 +131,7 @@ def render_table(doc: dict) -> str:
         summary = f"{doc['profile_count']} admissible profile(s) for {poly} at index {index}"
         if not doc["profiles"]:
             return summary + " (constraints are jointly unsatisfiable)"
-        return summary + "\n\n" + _grid(doc["profiles"], _FEASIBLE_HEADERS)
+        return summary + "\n\n" + _feasible_grid(doc["profiles"])
     blocks = []
     if command == "family":
         label = doc["family"] if doc["size"] is None else f"{doc['family']}({doc['size']})"
@@ -162,19 +149,59 @@ def render_table(doc: dict) -> str:
     return "\n\n".join(blocks)
 
 
-def _profile_doc(profile) -> dict:
-    return {
-        "narrative": profile.narrative.value,
-        "curve_degree": profile.curve_degree,
-        "h0": profile.h0,
-        "h1": profile.h1,
-        "chi": profile.chi(),
-        "geom_connected": profile.geom_connected,
-        "geom_reduced": profile.geom_reduced,
-        "geom_irreducible": profile.geom_irreducible,
-        "extra_point_degrees": list(profile.extra_point_degrees),
-        "provenance": profile.provenance,
-    }
+# One profile as json.dumps(indent=2) writes it inside the "profiles" list.
+# The first % fills in a curve shape; the %%d and %%s left over take chi
+# and the point degrees.
+_PROFILE_JSON = """{
+      "narrative": %s,
+      "curve_degree": %d,
+      "h0": %d,
+      "h1": %d,
+      "chi": %%d,
+      "geom_connected": %s,
+      "geom_reduced": %s,
+      "geom_irreducible": %s,
+      "extra_point_degrees": %%s,
+      "provenance": %s
+    }"""
+
+
+def _profile_template(shape) -> str:
+    import json
+
+    narrative, degree, h0, h1, connected, reduced, irreducible, provenance = shape
+    # a % in a string would be read as a slot by the second fill
+    name, origin = (json.dumps(text).replace("%", "%%") for text in (narrative.value, provenance))
+    flags = map(json.dumps, (connected, reduced, irreducible))
+    return _PROFILE_JSON % (name, degree, h0, h1, *flags, origin)
+
+
+def _json_points(degrees) -> str:
+    return "[\n        " + ",\n        ".join(map(str, degrees)) + "\n      ]" if degrees else "[]"
+
+
+def render_json(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)``, reading feasible's profile objects as their fields.
+
+    A feasible document can list hundreds of thousands of profiles but only
+    a few curve shapes, so each profile is one fill of its shape's template.
+    """
+    import json
+
+    profiles = doc["profiles"] if doc["command"] == "feasible" else None
+    if not profiles:
+        return json.dumps(doc, indent=2)
+    templates, points = _Memo(_profile_template), _Memo(_json_points)
+    rows = [
+        templates[
+            p.narrative, p.curve_degree, p.h0, p.h1,
+            p.geom_connected, p.geom_reduced, p.geom_irreducible, p.provenance,
+        ] % (p.chi(), points[p.extra_point_degrees])
+        for p in profiles
+    ]
+    # the header as json.dumps writes it, up to the opening bracket of "profiles"
+    head = json.dumps({**doc, "profiles": []}, indent=2)[: -len("]\n}")]
+    return head + "\n    " + ",\n    ".join(rows) + "\n  ]\n}"
 
 
 def _cmd_feasible(args) -> dict:
@@ -192,7 +219,7 @@ def _cmd_feasible(args) -> dict:
         "algebra": {"degree": d, "index": n, "exponent": m, "division": division},
         "poly": {"r": r, "s": s},
         "profile_count": len(profiles),
-        "profiles": [_profile_doc(p) for p in profiles],
+        "profiles": profiles,
     }
 
 
@@ -322,9 +349,7 @@ def run(args: argparse.Namespace):
         return EXIT_INVARIANT, f"error: {exc}"
     except PreconditionError as exc:
         return EXIT_PRECONDITION, f"error: {exc}"
-    if fmt == "json":
-        return EXIT_OK, _json(doc)
-    return EXIT_OK, render_table(doc)
+    return EXIT_OK, render_json(doc) if fmt == "json" else render_table(doc)
 
 
 def _int_pair(text):

@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .cohomology import EmbeddedConfig
 from .errors import ConfigParseError
 from .lineconfig import LineConfig
+
+if TYPE_CHECKING:
+    from .cohomology import EmbeddedConfig
 
 _SECTIONS = ("vertices", "edges", "generators")
 _ID_RE = re.compile(r"[^\s():,#]+$")
@@ -52,18 +54,28 @@ def _fail(lineno, message):
     raise ConfigParseError(f"line {lineno}: {message}")
 
 
-def _parse_fraction(token, lineno):
-    if not _FRACTION_RE.match(token):
-        if re.match(r"[+-]?\d*\.\d*$", token) or "e" in token.lower():
-            _fail(lineno, f"decimal literals are rejected, write {token!r} as an exact fraction p/q")
-        _fail(lineno, f"{token!r} is not an exact fraction (expected p or p/q)")
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        _fail(lineno, f"fraction {token!r} has a zero denominator")
-    except ValueError:
-        # the token is well formed, so only the interpreter's digit limit is left
-        _fail(lineno, f"a coordinate of {len(token)} characters has too many digits to convert")
+def _parse_coordinates(text, lineno):
+    """The exact rationals of a vertex line's comma-separated coordinates."""
+    # only coordinates are rationals, so a plain file never loads fractions
+    from fractions import Fraction
+
+    tokens = [tok.strip() for tok in text.split(",")]
+    if any(not tok for tok in tokens):
+        _fail(lineno, "empty coordinate entry")
+    coords = []
+    for token in tokens:
+        if not _FRACTION_RE.match(token):
+            if re.match(r"[+-]?\d*\.\d*$", token) or "e" in token.lower():
+                _fail(lineno, f"decimal literals are rejected, write {token!r} as an exact fraction p/q")
+            _fail(lineno, f"{token!r} is not an exact fraction (expected p or p/q)")
+        try:
+            coords.append(Fraction(token))
+        except ZeroDivisionError:
+            _fail(lineno, f"fraction {token!r} has a zero denominator")
+        except ValueError:
+            # the token is well formed, so only the interpreter's digit limit is left
+            _fail(lineno, f"a coordinate of {len(token)} characters has too many digits to convert")
+    return tuple(coords)
 
 
 def _parse_vertex_line(line, lineno):
@@ -71,12 +83,7 @@ def _parse_vertex_line(line, lineno):
     name = name.strip()
     if not _ID_RE.match(name):
         _fail(lineno, f"invalid vertex id {name!r}")
-    if not sep:
-        return name, None
-    tokens = [tok.strip() for tok in rest.split(",")]
-    if any(not tok for tok in tokens):
-        _fail(lineno, "empty coordinate entry")
-    return name, tuple(_parse_fraction(tok, lineno) for tok in tokens)
+    return name, _parse_coordinates(rest, lineno) if sep else None
 
 
 def _parse_cycles(line, vertices, lineno):
@@ -170,6 +177,8 @@ def parse_config_text(text: str) -> ParsedConfig:
     config = LineConfig(vertices, edges, generators)
     embedded = None
     if coords:
+        from .cohomology import EmbeddedConfig
+
         lengths = {len(vec) for vec in coords.values()}
         if len(lengths) != 1:
             raise ConfigParseError(

@@ -30,8 +30,8 @@ class AlgebraInvariants:
     Validates the standard relations at construction: n | d, m | n, m and
     n have the same prime factors (Brauer; Gille-Szamuely, "Central Simple
     Algebras and Galois Cohomology", 4.5), and d > 2 (the associated variety
-    must not itself be a curve).  A division algebra has index equal to its
-    degree.
+    must not itself be a curve).  An algebra is a division algebra exactly
+    when its index equals its degree, so ``is_division`` must say which.
     """
 
     d: int
@@ -57,6 +57,10 @@ class AlgebraInvariants:
         if self.is_division and self.n != self.d:
             raise InvariantError(
                 f"a division algebra has index equal to degree, got n={self.n}, d={self.d}"
+            )
+        if not self.is_division and self.n == self.d:
+            raise InvariantError(
+                f"index equal to degree (n = d = {self.n}) makes the algebra a division algebra"
             )
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .constraints import is_prime
 from .errors import InvariantError, PreconditionError
 
 
@@ -241,6 +240,8 @@ def is_pgon(config: LineConfig, p: int) -> bool:
     # the size test comes first: trial division on a huge p would not finish
     if len(config.vertices) != p or len(config.edges) != p:
         return False
+    from .constraints import is_prime
+
     if p < 3 or not is_prime(p):
         return False
     if any(count != 2 for count in config.branch_counts().values()):

@@ -1,6 +1,7 @@
 """Tests for the command-line surface: dispatch, rendering, exit statuses."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sbcurves.cli
 import sbcurves.cohomology
-from sbcurves.classify import Narrative
+from sbcurves.classify import Narrative, SubschemeProfile
 from sbcurves.cli import (
     _FEASIBLE_HEADERS,
     _HANDLERS,
@@ -25,9 +26,9 @@ from sbcurves.cli import (
     EXIT_PRECONDITION,
     EXIT_USAGE,
     _grid,
-    _json,
     build_parser,
     main,
+    render_json,
     render_table,
     run,
 )
@@ -118,12 +119,21 @@ class TestFeasible:
         assert "unsatisfiable" in text
 
     def test_non_division_is_precondition_failure(self):
+        # index 5 in degree 10: a valid algebra that is not a division algebra
         status, text = invoke(
-            ["feasible", "--degree", "5", "--index", "5", "--exponent", "5",
+            ["feasible", "--degree", "10", "--index", "5", "--exponent", "5",
              "--poly", "5,0"]
         )
         assert status == EXIT_PRECONDITION
         assert "division" in text
+
+    def test_index_equal_to_degree_without_division_is_invariant_failure(self):
+        status, text = invoke(
+            ["feasible", "--degree", "5", "--index", "5", "--exponent", "5",
+             "--poly", "5,0"]
+        )
+        assert status == EXIT_INVARIANT
+        assert text == "error: index equal to degree (n = d = 5) makes the algebra a division algebra"
 
     def test_empty_hilbert_scheme_is_precondition_failure(self):
         status, text = invoke(
@@ -959,8 +969,9 @@ def test_every_argv_maps_to_a_contract_exit_status(config_dir, argv, env_format)
     assert status in {EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_INVARIANT, EXIT_PRECONDITION}
 
 
-# The renderers against their references: json.dumps(indent=2) for the JSON
-# writer, and the cell-by-cell table below for the columnar _grid.
+# The renderers against their references: json.dumps(indent=2) of each
+# profile's fields for the JSON writer, and the cell-by-cell table below for
+# both grids.
 
 
 def _oracle_cell(value) -> str:
@@ -989,6 +1000,28 @@ def _oracle_grid(rows, headers=None) -> str:
     return "\n".join(lines)
 
 
+def profile_fields(profile) -> dict:
+    """A profile as the feasible document lists it."""
+    return {
+        "narrative": profile.narrative.value,
+        "curve_degree": profile.curve_degree,
+        "h0": profile.h0,
+        "h1": profile.h1,
+        "chi": profile.h0 - profile.h1 + sum(profile.extra_point_degrees),
+        "geom_connected": profile.geom_connected,
+        "geom_reduced": profile.geom_reduced,
+        "geom_irreducible": profile.geom_irreducible,
+        "extra_point_degrees": list(profile.extra_point_degrees),
+        "provenance": profile.provenance,
+    }
+
+
+def oracle_json(doc) -> str:
+    if doc["command"] == "feasible":
+        doc = {**doc, "profiles": [profile_fields(p) for p in doc["profiles"]]}
+    return json.dumps(doc, indent=2)
+
+
 def first_difference(got, want):
     """None for equal texts, else the first differing line (cheap to report for megabytes)."""
     if got == want:
@@ -1014,6 +1047,40 @@ FEASIBLE_DOCS = [
     (8, 4, 4, 156), (15, 15, 15, 60), (4, 2, 2, 2),
 ]
 
+# sha256 of the standard output of each FEASIBLE_DOCS query, (table, json),
+# as the earlier generic column writers printed it: the bytes cannot move
+# whichever writer prints them.
+FEASIBLE_SHA256 = {
+    (5, 5, 5, 0): ("3e5c0269449932aad70d2d8bd55638af1861086432d9eee6e25c7ed0a09b9313",
+                   "a313a27e7544659649eb8b0d03c1be7ec06e769fe147c3b7f3713554d9d25e05"),
+    (5, 5, 5, 1): ("08a34c15a497ccb9e237557b1e0357ba987d73b843807297a04a87dfecea9064",
+                   "c1f29ba68bfd22e3ef55b0d6265098bdcfc5334ee4b4ab1feeb95aa5587b224e"),
+    (5, 5, 5, 65): ("d2d9d48667516dd4be9f6cc748b43d9516e62118eeaf592e24bd279b0cfab181",
+                    "9dd5c66d831f9157cd5603882323108e6ca552690a14dffb011611a5e1bc024a"),
+    (7, 7, 7, 77): ("0b7a77ac0e3085bab8d1590fe2cc8cc7da693eeb68db952ecc8c73e617007b52",
+                    "0ef7e50317aa3e2b42ee09473ef2c791e52c87c67b2763303b1a9619696de139"),
+    (8, 4, 4, 156): ("96ed023127ddcf450a8940a4bc915924e09cd8eb9ca4650c0f67174d0f80eeed",
+                     "a346d670be8c690044cf9d43b41d6676dfb3e1e38f62b4745640fed835060363"),
+    (15, 15, 15, 60): ("46ccde0668f342616a5ebecae45b0f6cd6bb5af3bc3654ee1412f762c2b63fca",
+                       "b567a93fdaf7c5a4c6ebfceb0c2b4fec4af9e1c36dc954c1ca8742c441044bc8"),
+    (4, 2, 2, 2): ("43f6d088ac28811ffcbb6f08336f525c7adb4e9583b965c6de7736bbecbe66e4",
+                   "1eb25297299918815cc7bed14387eb6468efffa378749d03fbcf8c35016410d1"),
+}
+
+# The feasible queries of the benchmark's profiles workload (bench/workloads.py):
+# each constant term of each index's profile classes, at each exponent drawn.
+PROFILE_CLASSES = {
+    5: (0, 5, 10, 30, 45, 65),
+    7: (7, 14, 35, 49, 77),
+    8: (36, 40, 88, 92, 112, 116, 152, 156),
+    15: (0, 60),
+}
+EXPONENTS = {5: (5,), 7: (7,), 8: (2, 4, 8), 15: (15,)}
+WORKLOAD_QUERIES = [
+    (n, m, n if n % 2 else n // 2, s)
+    for n, terms in PROFILE_CLASSES.items() for s in terms for m in EXPONENTS[n]
+]
+
 ONE_ROW_DOCS = {
     "family-ngon": ["family", "ngon", "5", "--cohomology", "0,1,2", "--smoothing"],
     "family-disjoint": ["family", "disjoint-lines"],
@@ -1037,9 +1104,9 @@ def in_config_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
 
-# Strings with everything the ASCII escaper must handle: non-ASCII, quote,
-# backslash, control characters, lone surrogates, and "%" (the record
-# template is a %-format string).
+# Strings with everything a writer must handle: non-ASCII, quote,
+# backslash, control characters, lone surrogates, and "%" (the profile
+# templates are %-format strings).
 json_text = st.text(
     st.characters(exclude_categories=()) | st.sampled_from('"\\%\x00\x1f\x7f\udcff\ud800é\u2028😀'),
     max_size=8,
@@ -1066,60 +1133,70 @@ def record_lists(draw):
     return draw(st.lists(st.fixed_dictionaries(fields), min_size=1, max_size=6))
 
 
+def feasible_doc(profiles) -> dict:
+    return {
+        "schema_version": 1,
+        "command": "feasible",
+        "algebra": {"degree": 5, "index": 5, "exponent": 5, "division": True},
+        "poly": {"r": 5, "s": 0},
+        "profile_count": len(profiles),
+        "profiles": profiles,
+    }
+
+
+@st.composite
+def profile_lists(draw):
+    """Profiles in a few shared curve shapes, with any ints, points and provenance text."""
+    big = st.integers(-(2**70), 2**70)
+    shapes = draw(st.lists(
+        st.tuples(big, big, big, st.booleans(), st.booleans(), st.booleans()),
+        min_size=1, max_size=3,
+    ))
+    tags = draw(st.lists(st.tuples(st.sampled_from(Narrative), json_text), min_size=1, max_size=3))
+    points = st.lists(big | st.integers(1, 3), max_size=3).map(tuple)
+    return [
+        SubschemeProfile(*draw(st.sampled_from(shapes)), draw(points), *draw(st.sampled_from(tags)))
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+
+
 class TestJsonWriter:
-    @settings(max_examples=250, deadline=None)
-    @given(value=json_values)
-    def test_recursive_values(self, value):
-        assert _json(value) == json.dumps(value, indent=2)
-
-    @settings(max_examples=200, deadline=None)
-    @given(records=record_lists(), nest=st.booleans())
-    def test_record_lists(self, records, nest):
-        value = {"rows": records, "nested": [{"rows": records}]} if nest else records
-        assert _json(value) == json.dumps(value, indent=2)
-
-    @pytest.mark.parametrize("value", [
-        [{"a": True}, {"a": 1}, {"a": 0}, {"a": False}],
-        [{"a": None}, {"a": 3}, {"a": -4}],
-        [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
-        [{"a": 1, "b": 2}, {"a": 1}, {"a": 1, "b": 2, "c": 3}],
-        [{"a": 1}, {"b": 1}],
-        [{}, {}, {"a": {}}],
-        [{"a": [], "b": {}}, {"a": [[]], "b": {"c": []}}],
-        [{"%s": 1, "%": "%d", "%%": [1, True, None]}],
-        [{"rows": [{"x": 1, "y": [2, 3]}, {"x": 4, "y": []}]}, {"rows": [{"y": [], "x": 5}]}],
-        [[1, True], [None, "é"], [], [[{"k": 1}], {"k": 2}]],
-        [True, 1, False, 0, None, "1", [1], {"1": 1}],
-        [2**64, -(2**64) - 1, 0, -1],
-    ])
-    def test_record_edge_cases(self, value):
-        assert _json(value) == json.dumps(value, indent=2)
-
     @pytest.mark.parametrize("case", GOLDEN)
-    def test_golden_documents(self, case):
-        doc = json.loads(GOLDEN[case][2])
-        assert _json(doc) == json.dumps(doc, indent=2) == GOLDEN[case][2].rstrip("\n")
+    def test_golden_documents(self, case, in_config_dir):
+        doc = document(GOLDEN[case][0])
+        assert render_json(doc) == oracle_json(doc) == GOLDEN[case][2].rstrip("\n")
 
     @pytest.mark.parametrize("key", FEASIBLE_DOCS)
     def test_feasible_documents(self, feasible_docs, key):
         doc = feasible_docs[key]
-        assert first_difference(_json(doc), json.dumps(doc, indent=2)) is None
+        assert first_difference(render_json(doc), oracle_json(doc)) is None
 
-    @pytest.mark.parametrize("value", [
-        1.5, (1,), Narrative.SMOOTH_GENUS_ONE,
-        {"narrative": Narrative.PGON_OF_LINES}, [{"x": 1}, {"x": 0.5}], [[(1,)]], {1: 2},
-    ])
-    def test_other_types_are_refused(self, value):
-        with pytest.raises(TypeError):
-            _json(value)
+    @settings(max_examples=150, deadline=None)
+    @given(profiles=profile_lists())
+    def test_drawn_profiles(self, profiles):
+        doc = feasible_doc(profiles)
+        assert render_json(doc) == oracle_json(doc)
+
+    def test_percent_signs_are_text(self):
+        shape = (5, 1, 1, True, True, True, (5, 10))
+        profiles = [
+            SubschemeProfile(*shape, Narrative.PGON_OF_LINES, "%d %s %% %(x)s"),
+            SubschemeProfile(*shape, Narrative.PGON_OF_LINES, "%"),
+        ]
+        doc = feasible_doc(profiles)
+        assert render_json(doc) == oracle_json(doc)
+        assert [p["provenance"] for p in json.loads(render_json(doc))["profiles"]] == [
+            "%d %s %% %(x)s", "%",
+        ]
 
 
 class TestColumnarGrid:
     @pytest.mark.parametrize("key", [k for k in FEASIBLE_DOCS if k[3] != 1])
     def test_feasible_tables(self, feasible_docs, key):
-        profiles = feasible_docs[key]["profiles"]
-        table = _grid(profiles, _FEASIBLE_HEADERS)
-        assert first_difference(table, _oracle_grid(profiles, _FEASIBLE_HEADERS)) is None
+        doc = feasible_docs[key]
+        table = render_table(doc).split("\n\n", 1)[1]
+        rows = [profile_fields(p) for p in doc["profiles"]]
+        assert first_difference(table, _oracle_grid(rows, _FEASIBLE_HEADERS)) is None
 
     @pytest.mark.parametrize("case", ONE_ROW_DOCS)
     def test_one_row_tables(self, case, in_config_dir, monkeypatch):
@@ -1137,3 +1214,25 @@ class TestColumnarGrid:
         rows = [{"a": None, "b": 1, "c": []}, {"a": 12, "b": True, "c": [1, 2]}, {"a": 3, "b": "x", "c": None}]
         assert _grid(rows) == _oracle_grid(rows)
         assert _grid(rows, ["", "b", "c"]) == _oracle_grid(rows, ["", "b", "c"])
+
+
+@pytest.mark.parametrize("query", WORKLOAD_QUERIES, ids=lambda q: "n{}-m{}-{}t+{}".format(*q))
+def test_workload_query_output(query):
+    """Both formats of each benchmark query against json.dumps and the cell-by-cell grid."""
+    doc = document(feasible_query(*query))
+    out = render_json(doc)
+    parsed = json.loads(out)
+    assert first_difference(out, json.dumps(parsed, indent=2)) is None
+    rows = [profile_fields(p) for p in doc["profiles"]]
+    # the same fields in the same order as the document's
+    assert list(parsed.items())[:-1] == list(doc.items())[:-1]
+    assert list(map(list, map(dict.items, parsed["profiles"]))) == list(map(list, map(dict.items, rows)))
+    table = render_table(doc).split("\n\n", 1)[1]
+    assert first_difference(table, _oracle_grid(rows, _FEASIBLE_HEADERS)) is None
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("key", FEASIBLE_SHA256)
+def test_feasible_stdout_is_pinned(key, fmt, capsys):
+    out = TestByteExactOutput.stdout_of(feasible_query(*key) + ["--format", fmt], capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == FEASIBLE_SHA256[key][fmt == "json"]

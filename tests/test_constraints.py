@@ -91,7 +91,7 @@ class TestAlgebraInvariants:
             for m in (k for k in range(1, n + 1) if n % k == 0):
                 same = prime_factors(m) == prime_factors(n)
                 try:
-                    AlgebraInvariants(n, n, m)
+                    AlgebraInvariants(n, n, m, is_division=True)
                 except InvariantError:
                     assert not same, (n, m)
                 else:
@@ -104,6 +104,13 @@ class TestAlgebraInvariants:
     def test_rejects_division_with_proper_index(self):
         with pytest.raises(InvariantError):
             AlgebraInvariants(6, 3, 3, is_division=True)
+
+    def test_rejects_index_equal_to_degree_without_division(self):
+        # index = degree makes the algebra a division algebra
+        for d, n, m in [(5, 5, 5), (4, 4, 2), (12, 12, 6)]:
+            with pytest.raises(InvariantError, match="division algebra"):
+                AlgebraInvariants(d, n, m)
+            assert AlgebraInvariants(d, n, m, is_division=True).is_division
 
     def test_rejects_nonpositive_fields(self):
         with pytest.raises(InvariantError):
