@@ -1173,8 +1173,40 @@ class TestJsonWriter:
 
     @settings(max_examples=150, deadline=None)
     @given(profiles=profile_lists())
-    def test_drawn_profiles(self, profiles):
+    def test_record_lists(self, profiles):
         doc = feasible_doc(profiles)
+        assert render_json(doc) == oracle_json(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=json_values, profiles=profile_lists())
+    def test_recursive_values(self, value, profiles):
+        # any header in front of the profile templates, and a "profiles" key
+        # outside feasible, which json.dumps writes as it is
+        doc = {**feasible_doc(profiles), "algebra": value, "poly": {"r": value, "s": [value]}}
+        assert render_json(doc) == oracle_json(doc)
+        other = {"schema_version": 1, "command": "classify", "profiles": value}
+        assert render_json(other) == json.dumps(other, indent=2)
+
+    # Profiles whose shapes differ in one field only, share a shape but not
+    # their points or text, or carry the extreme ints and strings.
+    @pytest.mark.parametrize("value", [
+        [(5, 1, 1, c, r, i, ()) for c in (True, False) for r in (True, False) for i in (True, False)],
+        [(5, 1, 1, True, True, True, (), tag) for tag in Narrative],
+        [(5, 1, 1, True, True, True, (), Narrative.PGON_OF_LINES, text) for text in ("a", "b", "a", "")],
+        [(5, 1, 0, True, True, False, points) for points in ((), (5,), (), (5, 10), (5,))],
+        [(5, 1, 0, True, True, False, (1, 1, 1)), (5, 1, 0, True, True, False, (1, 1))],
+        [(5, 0, 7, False, True, False, ()), (5, 0, 7, False, True, False, (2,))],
+        [(2**64, -(2**64) - 1, 2**70, True, False, True, (2**64, 1))],
+        [(0, 0, 0, False, False, False, (), Narrative.REDUCIBLE_CURVE, "%s %d %% %(k)s %")],
+        [(3, 1, 1, True, True, True, (), Narrative.NON_REDUCED_CURVE, '"\\\x00\x1f\x7f\udcff\u00e9\u2028\U0001f600')],
+        [(7, 1, 1, True, True, True, (7,), Narrative.WITH_RESIDUAL_POINT)],
+        [(5, 1, 1, True, True, True, (), Narrative.SMOOTH_GENUS_ONE, "x"),
+         (5, 1, 1, True, True, True, (), Narrative.SINGULAR_INTEGRAL, "x"),
+         (5, 1, 1, True, True, True, ())],
+        [(d, h, h, True, True, True, (d,) * h) for d in (1, 2) for h in (0, 1, 2)],
+    ])
+    def test_record_edge_cases(self, value):
+        doc = feasible_doc([SubschemeProfile(*fields) for fields in value])
         assert render_json(doc) == oracle_json(doc)
 
     def test_percent_signs_are_text(self):
